@@ -1,14 +1,14 @@
 """The on-disk content-addressed store of the measurement cache.
 
 Layout mirrors git's object store: ``<root>/objects/<key[:2]>/<key>.json``.
-Writes go through a temp file that is fsynced and then atomically
-``os.replace``\\d, so concurrent campaign shards (worker processes
-sharing one ``--cache-dir``) never observe a torn entry — the worst
-race is two workers writing the same key, which is idempotent because
-the content *is* the address. A write that fails partway removes its
-temp file, and opening a store sweeps temp files old enough that their
-writer must be dead (a killed worker's leak), so crashes never grow
-the store unboundedly.
+Writes go through :func:`repro.utils.atomic.write_text_atomic`, so
+concurrent campaign shards (worker processes sharing one
+``--cache-dir``) never observe a torn entry — the worst race is two
+workers writing the same key, which is idempotent because the content
+*is* the address. A write that fails partway removes its temp file,
+and opening a store sweeps temp files old enough that their writer
+must be dead (a killed worker's leak), so crashes never grow the store
+unboundedly.
 
 Anything unreadable (missing file, truncated JSON, wrong schema
 version, an object damaged by the ``cache.store.read`` fault point in
@@ -19,7 +19,6 @@ always safe because measurements are deterministic.
 from __future__ import annotations
 
 import json
-import os
 import time
 from contextlib import suppress
 from pathlib import Path
@@ -27,6 +26,7 @@ from pathlib import Path
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import corrupt_text, stable_key
 from repro.telemetry import runtime as telemetry
+from repro.utils.atomic import write_text_atomic
 
 #: On-disk entry schema version; bump to invalidate every stored entry.
 STORE_VERSION = 1
@@ -85,23 +85,9 @@ class DiskStore:
 
     def put(self, key: str, payload: dict) -> int:
         """Durably persist one entry; returns the bytes written."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         body = json.dumps({"version": STORE_VERSION, "key": key, **payload},
                           separators=(",", ":"))
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(body)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            # Never leak the temp file — a crashed or faulted writer
-            # must not leave objects for other workers to trip over.
-            with suppress(OSError):
-                tmp.unlink()
-            raise
+        write_text_atomic(self.path_for(key), body)
         return len(body)
 
     def __len__(self) -> int:

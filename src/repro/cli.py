@@ -327,6 +327,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _say_resilience(stats) -> None:
+    """One line of supervisor fallbacks (campaign stats or a search's
+    supervisor report), printed only when something fell back."""
+    if stats.retries or stats.quarantined or stats.pool_restarts:
+        _say(f"resilience: {stats.retries} retries "
+             f"({stats.timeouts} timeouts), {stats.bisections} "
+             f"bisections, {stats.pool_restarts} pool restarts, "
+             f"{len(stats.quarantined)} gadgets quarantined")
+
+
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Run an Event Fuzzer campaign and print the summary."""
     from repro.core.fuzzer import DEFAULT_SHARD_SIZE, EventFuzzer, FuzzingCampaign
@@ -356,11 +366,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     _say(f"campaign: {cstats.num_shards} shards "
          f"({cstats.resumed_shards} resumed, "
          f"{cstats.screened_shards} screened) on {cstats.workers} worker(s)")
-    if cstats.retries or cstats.quarantined or cstats.pool_restarts:
-        _say(f"resilience: {cstats.retries} retries "
-             f"({cstats.timeouts} timeouts), {cstats.bisections} "
-             f"bisections, {cstats.pool_restarts} pool restarts, "
-             f"{len(cstats.quarantined)} gadgets quarantined")
+    _say_resilience(cstats)
     for record in cstats.quarantined:
         _say(f"  quarantined gadget {record.gadget_index} "
              f"after {record.attempts} attempts: {record.detail}")
@@ -420,6 +426,7 @@ def cmd_search(args: argparse.Namespace) -> int:
          f"{result.corpus_misses} damaged entries skipped)")
     _say(f"corpus replay digest {result.corpus_replay_digest[:16]}, "
          f"coverage digest {result.coverage_digest[:16]}")
+    _say_resilience(search.report)
     if args.digest_out:
         import json
         import pathlib

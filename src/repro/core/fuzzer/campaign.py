@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -47,12 +46,11 @@ from repro.cache.fingerprint import (
 )
 from repro.core.fuzzer.cleanup import CleanupReport, InstructionCleaner
 from repro.core.fuzzer.generator import ExecutionHarness
-from repro.core.fuzzer.grammar import Gadget, GadgetGrammar
+from repro.core.fuzzer.grammar import GadgetGrammar
 from repro.cpu import batch
 from repro.cpu.core import Core
 from repro.isa.catalog import shared_catalog
 from repro.isa.legality import MICROARCH_PROFILES
-from repro.isa.spec import InstructionSpec
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, corrupt_text
 from repro.resilience.supervisor import (
@@ -60,8 +58,10 @@ from repro.resilience.supervisor import (
     ShardFailure,
     ShardSupervisor,
     SupervisorPolicy,
+    run_task,
 )
 from repro.telemetry import runtime as telemetry
+from repro.utils.atomic import write_text_atomic
 from repro.utils.rng import derive_stream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
@@ -184,21 +184,6 @@ def default_cleanup(microarch_name: str) -> CleanupReport:
     return report
 
 
-def materialize_gadget(config: ShardConfig, gadget_index: int,
-                       legal: list[InstructionSpec] | None = None) -> Gadget:
-    """Re-derive gadget ``gadget_index`` from its RNG stream.
-
-    Checkpoints store gadget *indices*, not instruction sequences; the
-    gadget is replayed from the same stream the screening stage used,
-    so a resumed campaign confirms exactly the gadgets it screened.
-    """
-    if legal is None:
-        legal = default_cleanup(config.microarch).legal
-    grammar = GadgetGrammar(legal, sequence_length=config.sequence_length,
-                            empty_reset_prob=config.empty_reset_prob, rng=0)
-    return grammar.sample(rng=gadget_stream(config.entropy, gadget_index))
-
-
 def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
     """Screen one shard of the budget. Pure in (config, shard).
 
@@ -278,59 +263,19 @@ def screen_shard(config: ShardConfig, shard: ShardSpec) -> ShardResult:
                        cpu_seconds=time.process_time() - cpu)
 
 
-def screen_shard_traced(config: ShardConfig, shard: ShardSpec,
-                        trace_dir: "str | None" = None,
-                        cache_dir: "str | None" = None,
-                        fault_plan: "FaultPlan | None" = None,
-                        attempt: int = 0,
-                        sacrificial: bool = False) -> ShardResult:
-    """Screen one shard under an isolated per-shard telemetry session.
-
-    With a ``trace_dir``, the shard's spans and metrics land in
-    ``trace-shard-NNNNN.jsonl`` / ``metrics-shard-NNNNN.json`` — the
-    same files whether the shard runs in-process or on a pool worker —
-    so the parent's deterministic merge is invariant to worker count.
-
-    With a ``cache_dir``, a measurement-cache session is opened around
-    the shard when the process has none active yet (pool workers under
-    the spawn start method, or a campaign given an explicit directory):
-    every worker's on-disk tier points at the same store, so shards
-    warm each other across processes and runs.
-
-    With a ``fault_plan``, the plan is armed for the duration of the
-    shard (unless the process already has an armed injector — the
-    in-process path under an ambient chaos session) and the
-    ``campaign.shard`` fault point is hit before screening starts.
-    ``attempt`` is the supervisor's retry counter for this shard —
-    faults with ``times=N`` burn out after N attempts no matter which
-    process runs the retry — and ``sacrificial`` marks pool workers,
-    where ``kill``-mode faults are allowed to take the process down.
-    """
-    needs_cache = cache_dir is not None and not cache_runtime.enabled()
-    needs_faults = fault_plan is not None and not resilience.armed()
-    # Bisected sub-shards (index < 0) and retries get their own
-    # telemetry files, so a failed attempt's fault.* counters survive
-    # the successful retry and the merge stays collision-free.
+def screen_task_args(config: ShardConfig, shard: ShardSpec, attempt: int = 0,
+                     sacrificial: bool = False,
+                     trace_dir: "str | None" = None,
+                     cache_dir: "str | None" = None,
+                     fault_plan: "FaultPlan | None" = None) -> tuple:
+    """``run_task`` arguments screening one shard: ``campaign.shard``
+    keyed by its start, telemetry files ``shard-NNNNN`` (``shard-sub-
+    SSSSSS`` for bisected sub-shards, whose index is -1)."""
     process = (f"shard-{shard.index:05d}" if shard.index >= 0
                else f"shard-sub-{shard.start:06d}")
-    if attempt:
-        process = f"{process}-r{attempt}"
-    with (cache_runtime.session(cache_dir=cache_dir) if needs_cache
-          else nullcontext()), \
-         (resilience.session(fault_plan, sacrificial=sacrificial)
-          if needs_faults else nullcontext()):
-        if trace_dir is None:
-            resilience.check("campaign.shard", key=shard.start,
-                             attempt=attempt,
-                             span=(shard.start, shard.stop))
-            return screen_shard(config, shard)
-        with telemetry.session(trace_dir=trace_dir, process=process):
-            # Inside the session: an injected fault's telemetry is
-            # flushed by the session teardown even when it raises.
-            resilience.check("campaign.shard", key=shard.start,
-                             attempt=attempt,
-                             span=(shard.start, shard.stop))
-            return screen_shard(config, shard)
+    return (screen_shard, (config, shard), "campaign.shard", shard.start,
+            (shard.start, shard.stop), process, attempt, sacrificial,
+            trace_dir, cache_dir, fault_plan)
 
 
 def merge_screened(results: Iterable[ShardResult]
@@ -388,25 +333,6 @@ def shard_checkpoint_path(checkpoint_dir: "str | Path",
     return Path(checkpoint_dir) / f"shard-{shard_index:05d}.json"
 
 
-def _fsync_file(fh) -> None:
-    fh.flush()
-    os.fsync(fh.fileno())
-
-
-def _fsync_dir(path: Path) -> None:
-    """fsync a directory so a rename within it survives a power cut."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir fsync
-        pass
-    finally:
-        os.close(fd)
-
-
 def _checkpoint_generation(path: Path) -> int:
     """The generation of the checkpoint currently at ``path`` (0 if none)."""
     try:
@@ -420,15 +346,13 @@ def save_shard_checkpoint(checkpoint_dir: "str | Path", result: ShardResult,
                           fingerprint: str) -> Path:
     """Durably persist one shard's screening result as JSON.
 
-    The temp file is fsynced before the atomic rename (and the
-    directory after it), so a crash mid-write can never leave a torn
-    primary; the previous generation is kept as ``.bak``, so even a
-    checkpoint damaged *after* the rename (bit rot, a torn write the
-    ``checkpoint.write`` fault point simulates) rolls back to the
-    last-known-good generation on resume instead of losing the shard.
+    Written with :func:`~repro.utils.atomic.write_text_atomic` keeping
+    the previous generation as ``.bak``, so even a checkpoint damaged
+    *after* the rename (bit rot, a torn write the ``checkpoint.write``
+    fault point simulates) rolls back to the last-known-good generation
+    on resume instead of losing the shard.
     """
     path = shard_checkpoint_path(checkpoint_dir, result.index)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": CHECKPOINT_VERSION,
         "fingerprint": fingerprint,
@@ -446,15 +370,7 @@ def save_shard_checkpoint(checkpoint_dir: "str | Path", result: ShardResult,
     action = resilience.check("checkpoint.write", key=result.index)
     if action is not None and action.mode == "corrupt":
         body = corrupt_text(body, key=result.index)
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(body)
-        _fsync_file(fh)
-    if path.exists():
-        os.replace(path, path.with_suffix(".json.bak"))
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-    return path
+    return write_text_atomic(path, body, keep_generation=True)
 
 
 def _parse_shard_checkpoint(path: Path, shard: ShardSpec,
@@ -509,8 +425,6 @@ def write_campaign_manifest(checkpoint_dir: "str | Path",
                             config: ShardConfig, budget: int,
                             shard_size: int, num_shards: int) -> Path:
     """Human-readable campaign descriptor next to the shard files."""
-    path = Path(checkpoint_dir) / "campaign.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": CHECKPOINT_VERSION,
         "fingerprint": config_fingerprint(config, budget, shard_size),
@@ -522,13 +436,8 @@ def write_campaign_manifest(checkpoint_dir: "str | Path",
         "entropy": config.entropy,
         "events": list(config.event_indices),
     }
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2))
-        _fsync_file(fh)
-    os.replace(tmp, path)
-    _fsync_dir(path.parent)
-    return path
+    return write_text_atomic(Path(checkpoint_dir) / "campaign.json",
+                             json.dumps(payload, indent=2))
 
 
 # -- the campaign engine --------------------------------------------------
@@ -731,6 +640,7 @@ class FuzzingCampaign:
             checkpoint_dir=search_checkpoint,
             resume=self.resume,
             fault_plan=self.fault_plan,
+            policy=self.policy,
             **self.search_options)
 
         start = time.perf_counter()
@@ -738,9 +648,16 @@ class FuzzingCampaign:
             result = search.run()
         step_seconds["generation_execution"] = time.perf_counter() - start
         self.search_result = result
-        self.stats = CampaignStats(num_shards=result.rounds,
-                                   screened_shards=result.rounds,
-                                   workers=self.workers)
+        supervised = search.report
+        self.stats = CampaignStats(
+            num_shards=result.rounds, screened_shards=result.rounds,
+            workers=self.workers,
+            shard_failures=list(supervised.failures),
+            retries=supervised.retries,
+            timeouts=supervised.timeouts,
+            bisections=supervised.bisections,
+            pool_restarts=supervised.pool_restarts,
+            quarantined=list(supervised.quarantined))
 
         registry = telemetry.metrics()
         if registry.enabled:
@@ -792,20 +709,19 @@ class FuzzingCampaign:
                                     len(plan))
 
         supervisor = ShardSupervisor(
-            fn=screen_shard_traced,
-            args=lambda shard, attempt, sacrificial: (
-                config, shard, shard_trace_dir, shard_cache_dir,
-                self.fault_plan, attempt, sacrificial),
+            fn=run_task,
+            args=lambda shard, attempt, sacrificial: screen_task_args(
+                config, shard, attempt, sacrificial, shard_trace_dir,
+                shard_cache_dir, self.fault_plan),
             on_result=lambda result: self._complete(result, fingerprint,
                                                     results),
             empty_result=lambda shard: ShardResult(
                 index=-1, start=shard.start, count=shard.count,
                 screened={int(e): [] for e in config.event_indices}),
             policy=self.policy, workers=min(self.workers, max(1,
-                                                              len(pending))),
-            fault_plan=self.fault_plan)
+                                                              len(pending))))
         with tracer.span("fuzz.screening", shards=len(plan),
-                         resumed=resumed):
+                         resumed=resumed), supervisor:
             supervised = supervisor.run(pending)
         step_seconds["generation_execution"] = time.perf_counter() - start
 

@@ -28,7 +28,7 @@ from repro.core.fuzzer.campaign import (
     gadget_stream,
     merge_screened,
     plan_shards,
-    screen_shard_traced,
+    screen_task_args,
 )
 from repro.core.fuzzer.cleanup import CleanupReport, InstructionCleaner
 from repro.core.fuzzer.confirm import ConfirmationResult, GadgetConfirmer
@@ -43,6 +43,7 @@ from repro.core.fuzzer.grammar import (
 from repro.cpu.core import Core
 from repro.isa.catalog import IsaCatalog, shared_catalog
 from repro.isa.legality import MICROARCH_PROFILES, MicroArchProfile
+from repro.resilience.supervisor import run_task
 from repro.telemetry import runtime as telemetry
 from repro.utils.rng import ensure_rng, spawn_rng
 
@@ -373,8 +374,8 @@ class EventFuzzer:
         config = self.shard_config(event_indices)
         plan = plan_shards(self.gadget_budget, self.shard_size)
         with tracer.span("fuzz.screening", shards=len(plan), resumed=0):
-            results = [screen_shard_traced(config, shard, shard_trace_dir)
-                       for shard in plan]
+            results = [run_task(*screen_task_args(
+                config, shard, trace_dir=shard_trace_dir)) for shard in plan]
         screened = merge_screened(results)
         step_seconds["generation_execution"] = time.perf_counter() - start
 

@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.artifacts import DeploymentArtifact
 from repro.core.obfuscator.injector import default_noise_components
 from repro.cpu.events import processor_catalog
+from repro.utils.atomic import write_text_atomic
 
 _VERSION_RE = re.compile(r"^v(\d{4})\.json$")
 _KEY_RE = re.compile(r"^[A-Za-z0-9._-]+$")
@@ -118,17 +119,13 @@ class ArtifactRegistry:
         never leaves a half-written version for loaders to trip on.
         """
         series = self._series_dir(artifact.processor_model, workload)
-        series.mkdir(parents=True, exist_ok=True)
         existing = self.versions(artifact.processor_model, workload)
         version = (existing[-1] + 1) if existing else 1
         document = artifact.to_json()
         digest = hashlib.sha256(document.encode("utf-8")).hexdigest()
         payload = json.dumps({"sha256": digest, "artifact": document},
                              indent=2)
-        path = series / f"v{version:04d}.json"
-        tmp = series / f".v{version:04d}.json.tmp"
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, path)
+        path = write_text_atomic(series / f"v{version:04d}.json", payload)
         return RegistryEntry(processor_model=artifact.processor_model,
                              workload=workload, version=version,
                              path=path, digest=digest)

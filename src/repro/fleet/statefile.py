@@ -1,36 +1,28 @@
 """Crash-safe fleet state files.
 
 ``fleet status`` trusts whatever ``fleet-state/fleet-status.json``
-holds; with shard workers (and their supervisor) all writing state, a
-writer dying mid-write must never leave a truncated or interleaved
-file for the reader to parse. The writer here is atomic in the
-POSIX sense:
-
-- the payload goes to a **uniquely named** temp file in the *same
-  directory* (``mkstemp`` — two concurrent writers can never clobber
-  each other's temp, unlike a fixed ``.tmp`` name);
-- the temp file is flushed and ``fsync``'d before rename, so the
-  rename can never promote a page-cache-only file that a host crash
-  would truncate;
-- ``os.replace`` swaps it in atomically (readers see the old complete
-  file or the new complete file, nothing in between);
-- the directory is fsync'd afterwards so the rename itself is durable.
+holds, and search checkpoints and corpus entries go through the same
+writer: a writer dying mid-write must never leave a truncated or
+interleaved file for the reader to parse. :func:`write_json_atomic`
+is the JSON serialisation of
+:func:`repro.utils.atomic.write_text_atomic` — unique same-directory
+temp, fsync, atomic rename, directory fsync — plus a sweep of the
+temps earlier crashed writers left in the same directory.
 
 A writer killed at any point leaves at worst an orphaned
-``.fleet-*.tmp`` alongside a still-valid status file;
+``.<name>.*.tmp`` alongside a still-valid state file;
 :func:`sweep_stale_tmp` reclaims those on the next write.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
+from repro.utils.atomic import TMP_SUFFIX, write_text_atomic
+
 #: Prefix of every temp file the atomic writer creates.
-TMP_PREFIX = ".fleet-"
-TMP_SUFFIX = ".tmp"
+TMP_PREFIX = "."
 
 
 def sweep_stale_tmp(directory: "Path | str") -> int:
@@ -52,28 +44,9 @@ def write_json_atomic(path: "Path | str", payload: dict) -> Path:
     Crash-safe per the module docstring; returns the final path.
     """
     path = Path(path)
-    directory = path.parent
-    directory.mkdir(parents=True, exist_ok=True)
-    sweep_stale_tmp(directory)
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    fd, tmp_name = tempfile.mkstemp(prefix=TMP_PREFIX, suffix=TMP_SUFFIX,
-                                    dir=directory)
-    tmp = Path(tmp_name)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-    return path
+    sweep_stale_tmp(path.parent)
+    return write_text_atomic(
+        path, json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 def read_json(path: "Path | str") -> dict:

@@ -16,9 +16,10 @@ Two deterministic serializations of a metrics snapshot:
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
+
+from repro.utils.atomic import write_text_atomic
 
 _NAME_SANITIZER = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -69,12 +70,7 @@ def render_openmetrics(snapshot: dict) -> str:
 
 def write_openmetrics(snapshot: dict, path: "str | Path") -> Path:
     """Atomically write the OpenMetrics exposition to ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(render_openmetrics(snapshot), encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return write_text_atomic(path, render_openmetrics(snapshot))
 
 
 class SnapshotExporter:

@@ -24,6 +24,8 @@ The instrumented fault points:
                           shard crash; the supervisor reassigns and
                           replays its tenants)
 ``kernel_module.read``    an RDPMC read inside the in-guest kernel module
+``search.chunk``          a coverage-search evaluation chunk (worker
+                          side; keyed by the chunk's first eval index)
 ``search.corpus.write``   a coverage-search corpus entry write (corrupt =
                           damaged on-disk entry; the loader treats it as
                           a miss, never a crash)
@@ -59,7 +61,7 @@ from repro.telemetry import runtime as telemetry
 FAULT_POINTS = ("campaign.shard", "cache.store.read", "checkpoint.write",
                 "daemon.noise_refill", "fleet.admit", "fleet.policy",
                 "fleet.provision", "fleet.shard", "kernel_module.read",
-                "search.corpus.write")
+                "search.chunk", "search.corpus.write")
 
 #: Supported failure modes.
 FAULT_MODES = ("raise", "hang", "corrupt", "kill")
@@ -78,6 +80,12 @@ class InjectedFault(RuntimeError):
         super().__init__(detail)
         self.point = point
         self.key = key
+        self.note = note
+
+    def __reduce__(self):
+        # A fault raised on a pool worker must unpickle as itself, not
+        # break the pool.
+        return type(self), (self.point, self.key, self.note)
 
 
 def _hash01(seed: int, label: str, key: int) -> float:

@@ -1,7 +1,11 @@
-"""The shard supervisor: retries, timeouts, bisection, quarantine.
+"""The shard supervisor: the repo's one supervised process pool.
 
-Wraps the campaign's screening fan-out so worker failures are a
-*degraded state*, not a campaign abort:
+Campaign screening and coverage-search evaluation both plan fixed
+chunks (``ShardSpec(start, count)`` slices), map them here, and reduce
+the results in order; every chunk attempt runs through
+:func:`run_task`, which opens the cache, fault and telemetry sessions
+and hits the caller's fault point. Worker failures are a *degraded
+state*, not an abort:
 
 - every shard failure (raised exception, lost worker process, blown
   per-shard timeout) is retried up to ``max_retries`` times with
@@ -13,14 +17,17 @@ Wraps the campaign's screening fan-out so worker failures are a
   replaced by an empty screening result — instead of poisoning the run;
 - a ``kill``-mode fault (or any real worker death) breaks the
   ``ProcessPoolExecutor``; the supervisor rebuilds the pool and
-  re-queues everything that was in flight, up to ``max_pool_restarts``;
+  re-queues everything that was in flight, up to ``max_pool_restarts``.
+  Otherwise one pool lives across :meth:`ShardSupervisor.run` calls
+  until :meth:`ShardSupervisor.close`, so a search's rounds do not pay
+  a pool start each;
 - ``KeyboardInterrupt``/``SystemExit`` are never treated as shard
   failures: the pool is shut down *without waiting* and the exception
   re-raised immediately, so Ctrl-C still checkpoints promptly.
 
-Screening is pure in ``(config, shard)``, so retries and bisection
+Tasks are pure in ``(config, shard)``, so retries and bisection
 cannot change results — a supervised chaos run merges to the same
-candidate pool as a fault-free run, minus only quarantined gadgets.
+result as a fault-free run, minus only quarantined items.
 """
 
 from __future__ import annotations
@@ -30,9 +37,12 @@ import math
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.cache import runtime as cache_runtime
+from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, _hash01
 from repro.telemetry import runtime as telemetry
 
@@ -147,14 +157,50 @@ class SupervisorReport:
         return sum(1 for f in self.failures if f.kind == "timeout")
 
 
+def run_task(fn: Callable, payload: tuple, point: str, key: int,
+             span: "tuple[int, int]", process: str, attempt: int = 0,
+             sacrificial: bool = False, trace_dir: "str | None" = None,
+             cache_dir: "str | None" = None,
+             fault_plan: "FaultPlan | None" = None) -> Any:
+    """Run one supervised task attempt, ``fn(*payload)``, in any process.
+
+    - ``trace_dir``: spans and metrics land in ``trace-<process>.jsonl``
+      / ``metrics-<process>.json`` wherever the attempt runs, so the
+      merge is invariant to worker count; retries append
+      ``-r<attempt>``, so a failed attempt's ``fault.*`` counters
+      survive the successful retry.
+    - ``cache_dir``: a measurement-cache session on that store, unless
+      the process already has one.
+    - ``fault_plan``: armed for the attempt — always on a
+      ``sacrificial`` pool worker, where ``kill`` faults may exit the
+      process; in-process only when no plan is armed yet. ``point`` is
+      then hit with the supervisor's ``attempt``, so ``times=N`` faults
+      burn out after N attempts whichever process runs the retry.
+    """
+    needs_cache = cache_dir is not None and not cache_runtime.enabled()
+    needs_faults = fault_plan is not None and (sacrificial
+                                               or not resilience.armed())
+    if attempt:
+        process = f"{process}-r{attempt}"
+    with (cache_runtime.session(cache_dir=cache_dir) if needs_cache
+          else nullcontext()), \
+         (resilience.session(fault_plan, sacrificial=sacrificial)
+          if needs_faults else nullcontext()), \
+         (telemetry.session(trace_dir=trace_dir, process=process)
+          if trace_dir is not None else nullcontext()):
+        # Inside the telemetry session: an injected fault's telemetry
+        # is flushed by the session teardown even when it raises.
+        resilience.check(point, key=key, attempt=attempt, span=span)
+        return fn(*payload)
+
+
 class ShardSupervisor:
-    """Supervised execution of shard screening tasks.
+    """Supervised execution of chunked tasks over one reusable pool.
 
     Parameters
     ----------
     fn:
-        The picklable top-level screening function
-        (``screen_shard_traced``).
+        The picklable top-level task function (:func:`run_task`).
     args:
         ``args(shard, attempt, sacrificial) -> tuple`` building the
         picklable argument tuple for one attempt. ``sacrificial`` is
@@ -164,18 +210,16 @@ class ShardSupervisor:
         (checkpointing + bookkeeping in the campaign).
     empty_result:
         ``empty_result(shard) -> result`` standing in for a quarantined
-        single-gadget shard, keeping the merge total.
-    policy / workers / fault_plan:
-        Retry policy, pool width, and the plan shipped to workers (the
-        plan itself travels inside ``args``; it is referenced here only
-        for logging).
+        single-item shard, keeping the merge total.
+    policy / workers:
+        Retry policy and pool width (a fault plan travels in ``args``).
     """
 
     def __init__(self, fn: Callable, args: Callable[[Any, int, bool], tuple],
                  on_result: Callable[[Any], None],
                  empty_result: Callable[[Any], Any],
-                 policy: "SupervisorPolicy | None" = None, workers: int = 1,
-                 fault_plan: "FaultPlan | None" = None) -> None:
+                 policy: "SupervisorPolicy | None" = None,
+                 workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.fn = fn
@@ -184,18 +228,39 @@ class ShardSupervisor:
         self.empty_result = empty_result
         self.policy = policy or SupervisorPolicy()
         self.workers = workers
-        self.fault_plan = fault_plan
         self.report = SupervisorReport()
+        self._pool: "ProcessPoolExecutor | None" = None
 
     # -- public entry points -------------------------------------------
 
     def run(self, shards: list) -> SupervisorReport:
-        """Screen every shard to completion (or quarantine)."""
+        """Run every shard to completion (or quarantine).
+
+        Repeatable: the report accumulates and the pool is kept until
+        :meth:`close` (or the end of a ``with`` block).
+        """
         if self.workers > 1 and len(shards) > 1:
             self._run_pool(list(shards))
         else:
             self._run_inline(list(shards))
         return self.report
+
+    def close(self) -> None:
+        """Shut the worker pool down, waiting for (and reaping) workers."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "ShardSupervisor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _abandon_pool(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
     # -- in-process mode -----------------------------------------------
 
@@ -220,33 +285,44 @@ class ShardSupervisor:
     def _run_pool(self, shards: list) -> None:
         queue = [_Pending(shard, 0) for shard in shards]
         inflight: "dict[Any, tuple[_Pending, float]]" = {}
-        pool = ProcessPoolExecutor(max_workers=self.workers)
         try:
             while queue or inflight:
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(max_workers=self.workers)
                 now = time.monotonic()
                 ready = [p for p in queue if p.not_before <= now]
                 queue = [p for p in queue if p.not_before > now]
+                broken = False
                 for item in sorted(ready, key=lambda p: (p.shard.start,
                                                          p.attempt)):
-                    future = pool.submit(
-                        self.fn, *self.args(item.shard, item.attempt, True))
+                    try:
+                        future = self._pool.submit(
+                            self.fn,
+                            *self.args(item.shard, item.attempt, True))
+                    except BrokenExecutor:
+                        # A worker died before this attempt was queued:
+                        # it never ran, so it waits unchanged for the
+                        # rebuilt pool.
+                        broken = True
+                        queue.append(item)
+                        continue
                     deadline = (now + self.policy.shard_timeout
                                 if self.policy.shard_timeout else math.inf)
                     inflight[future] = (item, deadline)
-                if not inflight:
+                if not inflight and not broken:
                     time.sleep(max(0.0, min(p.not_before for p in queue)
                                    - time.monotonic()))
                     continue
 
-                horizon = min(min(d for _, d in inflight.values()),
+                horizon = min(min((d for _, d in inflight.values()),
+                                  default=math.inf),
                               min((p.not_before for p in queue),
                                   default=math.inf))
-                timeout = (None if horizon == math.inf
+                timeout = (0.0 if broken else None if horizon == math.inf
                            else max(0.0, horizon - time.monotonic()))
                 done, _ = wait(set(inflight), timeout=timeout,
                                return_when=FIRST_COMPLETED)
 
-                broken = False
                 for future in done:
                     item, _ = inflight.pop(future)
                     try:
@@ -271,7 +347,7 @@ class ShardSupervisor:
                         self._failed(item, kind,
                                      f"{kind} after pool abandon", queue)
                     inflight.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    self._abandon_pool()
                     self.report.pool_restarts += 1
                     registry = telemetry.metrics()
                     if registry.enabled:
@@ -289,14 +365,12 @@ class ShardSupervisor:
                         "(restart %d/%d), %d shard(s) requeued",
                         self.report.pool_restarts,
                         self.policy.max_pool_restarts, len(queue))
-                    pool = ProcessPoolExecutor(max_workers=self.workers)
         except BaseException:
             # Ctrl-C (and any other abort) must not wait for running
             # shards: drop the pool and surface the exception so the
             # campaign's already-checkpointed shards are preserved.
-            pool.shutdown(wait=False, cancel_futures=True)
+            self._abandon_pool()
             raise
-        pool.shutdown()
 
     # -- failure handling ----------------------------------------------
 

@@ -25,6 +25,7 @@ from repro.fleet.statefile import read_json, write_json_atomic
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import InjectedFault, corrupt_text, stable_key
 from repro.telemetry import runtime as telemetry
+from repro.utils.atomic import write_text_atomic
 
 CORPUS_ENTRY_VERSION = 1
 
@@ -137,9 +138,7 @@ class Corpus:
             if spec is not None and spec.mode == "corrupt":
                 text = corrupt_text(json.dumps(payload, sort_keys=True),
                                     key=key)
-                tmp = path.with_suffix(".json.tmp")
-                tmp.write_text(text, encoding="utf-8")
-                tmp.replace(path)
+                write_text_atomic(path, text)
             else:
                 write_json_atomic(path, payload)
         except InjectedFault:

@@ -3,8 +3,9 @@
 Structure mirrors the sharded screening campaign: each round plans a
 batch of *evaluation tasks* (grammar samples for exploration, mutants
 of scheduled corpus seeds for exploitation), evaluates them in
-fixed-size chunks — in-process or across a worker pool, with identical
-chunk boundaries either way — and reduces the outcomes sequentially in
+fixed-size chunks on the campaign's shard supervisor — in-process or
+pooled, with identical chunk boundaries and the same retries, timeouts
+and pool rebuilds either way — and reduces the outcomes sequentially in
 plan order.  Every random draw comes from a ``derive_stream`` leaf
 keyed on stable labels (sample index, or (round, parent digest, child
 index)), and the reduction is a pure fold over outcomes sorted by
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -31,13 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from repro.cache.fingerprint import config_digest
-from repro.core.fuzzer.campaign import default_cleanup, gadget_stream
+from repro.core.fuzzer.campaign import (default_cleanup, gadget_stream,
+                                        plan_shards)
 from repro.core.fuzzer.generator import ExecutionHarness
 from repro.core.fuzzer.grammar import Gadget, GadgetGrammar
 from repro.cpu import batch
 from repro.cpu.core import Core
 from repro.fleet.statefile import read_json, write_json_atomic
 from repro.resilience import runtime as resilience
+from repro.resilience.supervisor import (ShardSupervisor, SupervisorPolicy,
+                                         SupervisorReport, run_task)
 from repro.search.corpus import (Corpus, CorpusEntry, build_name_index,
                                  gadget_digest)
 from repro.search.coverage import CoverageExtractor, CoverageMap
@@ -192,24 +195,6 @@ def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
     return outcomes
 
 
-def evaluate_search_chunk_traced(config: SearchConfig, tasks, cold=(),
-                                 trace_dir: "str | None" = None,
-                                 label: str = "") -> list:
-    """Chunk evaluation under an isolated per-chunk telemetry session.
-
-    With a ``trace_dir``, the chunk's ``batch.*`` counters land in
-    per-chunk files named after the (round, chunk) label — the same
-    files whether the chunk runs in-process or on a pool worker — so
-    merged telemetry stays invariant to worker count, exactly like
-    per-shard screening sessions.
-    """
-    if trace_dir is None:
-        return evaluate_search_chunk(config, tasks, cold)
-    with telemetry.session(trace_dir=trace_dir,
-                           process=f"search-{label}"):
-        return evaluate_search_chunk(config, tasks, cold)
-
-
 def evals_to_cover(first_cover: dict, count: int) -> "int | None":
     """Evaluations spent when the ``count``-th event was first covered.
 
@@ -264,6 +249,10 @@ class CoverageSearch:
         blind sampling spends).
     workers:
         Worker processes for chunk evaluation (1 = in-process).
+    policy:
+        Retry/timeout policy of the chunk supervisor; by default
+        :class:`~repro.resilience.supervisor.SupervisorPolicy` seeded
+        from ``fault_plan``, as a campaign seeds it.
     corpus_dir:
         Optional directory mirroring corpus admissions on disk.
     checkpoint_dir / resume:
@@ -285,7 +274,8 @@ class CoverageSearch:
                  resume: bool = False,
                  target_events: "int | None" = None,
                  minimize: bool = True,
-                 fault_plan=None) -> None:
+                 fault_plan=None,
+                 policy: "SupervisorPolicy | None" = None) -> None:
         if max_evals < 1:
             raise SearchError(f"max_evals must be >= 1, got {max_evals}")
         if workers < 1:
@@ -302,6 +292,10 @@ class CoverageSearch:
         self.target_events = target_events
         self.minimize = minimize
         self.fault_plan = fault_plan
+        self.policy = policy or SupervisorPolicy(
+            seed=fault_plan.seed if fault_plan is not None else 0)
+        #: What the chunk supervisor observed during the last run().
+        self.report = SupervisorReport()
 
         self.corpus = Corpus(self.corpus_dir)
         self.coverage = CoverageMap()
@@ -324,6 +318,8 @@ class CoverageSearch:
         self._extractor = None
         self._probe_queue: "tuple[str, ...] | None" = None
         self._probe_cursor = 0
+        self._round_plan: "tuple[list, tuple]" = ([], ())
+        self._round_outcomes: list = []
 
     # -- deterministic identity ----------------------------------------
 
@@ -438,26 +434,21 @@ class CoverageSearch:
 
     # -- evaluation ----------------------------------------------------
 
-    def _evaluate(self, tasks, cold, executor) -> list:
-        chunk_size = self.config.chunk_size
-        chunks = [tasks[i:i + chunk_size]
-                  for i in range(0, len(tasks), chunk_size)]
+    def _chunk_args(self, shard, attempt: int, sacrificial: bool) -> tuple:
+        """``run_task`` arguments for one chunk of the current round:
+        ``search.chunk`` keyed by its first eval index, telemetry files
+        ``search-RRRR-CCC`` (``search-RRRR-sub-SSS`` when bisected)."""
+        tasks, cold = self._round_plan
+        chunk = tasks[shard.start:shard.stop]
+        first = chunk[0].eval_index
+        label = (f"{shard.index:03d}" if shard.index >= 0
+                 else f"sub-{shard.start:03d}")
         trace_dir = telemetry.trace_dir()
-        trace = str(trace_dir) if trace_dir is not None else None
-        labels = [f"{self._round:04d}-{i:03d}" for i in range(len(chunks))]
-        if executor is None or len(chunks) == 1:
-            results = [evaluate_search_chunk_traced(self.config, chunk,
-                                                    cold, trace, label)
-                       for chunk, label in zip(chunks, labels)]
-        else:
-            futures = [executor.submit(evaluate_search_chunk_traced,
-                                       self.config, chunk, cold, trace,
-                                       label)
-                       for chunk, label in zip(chunks, labels)]
-            results = [future.result() for future in futures]
-        outcomes = [outcome for chunk in results for outcome in chunk]
-        outcomes.sort(key=lambda o: o.eval_index)
-        return outcomes
+        return (evaluate_search_chunk, (self.config, chunk, cold),
+                "search.chunk", first, (first, first + len(chunk)),
+                f"search-{self._round:04d}-{label}", attempt, sacrificial,
+                str(trace_dir) if trace_dir is not None else None, None,
+                self.fault_plan)
 
     # -- reduction -----------------------------------------------------
 
@@ -665,34 +656,37 @@ class CoverageSearch:
         if self.resume:
             self._load_checkpoint()
         registry = telemetry.metrics()
-        executor = None
-        try:
-            if self.workers > 1:
-                executor = ProcessPoolExecutor(max_workers=self.workers)
-            with telemetry.tracer().span("search.run",
-                                         max_evals=self.max_evals,
-                                         workers=self.workers):
-                while (self._eval_cursor < self.max_evals
-                       and not self._target_reached()):
-                    remaining = self.max_evals - self._eval_cursor
-                    tasks, cold = self._plan_round(remaining)
-                    if not tasks:
-                        break
-                    self._eval_cursor += len(tasks)
-                    outcomes = self._evaluate(tasks, cold, executor)
-                    self._reduce(outcomes)
-                    self._round += 1
-                    if registry.enabled:
-                        registry.counter("search.evals").inc(len(tasks))
-                        registry.counter("search.rounds").inc()
-                        registry.gauge("search.covered_events").set(
-                            len(self.first_cover))
-                        registry.gauge("search.corpus.size").set(
-                            len(self.corpus))
-                    self._save_checkpoint()
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        supervisor = ShardSupervisor(
+            fn=run_task, args=self._chunk_args,
+            on_result=lambda outcomes: self._round_outcomes.extend(outcomes),
+            empty_result=lambda shard: [], policy=self.policy,
+            workers=self.workers)
+        self.report = supervisor.report
+        with supervisor, telemetry.tracer().span("search.run",
+                                                 max_evals=self.max_evals,
+                                                 workers=self.workers):
+            while (self._eval_cursor < self.max_evals
+                   and not self._target_reached()):
+                remaining = self.max_evals - self._eval_cursor
+                tasks, cold = self._plan_round(remaining)
+                if not tasks:
+                    break
+                self._eval_cursor += len(tasks)
+                # A quarantined task contributes no outcome.
+                self._round_plan, self._round_outcomes = (tasks, cold), []
+                supervisor.run(plan_shards(len(tasks),
+                                           self.config.chunk_size))
+                self._reduce(sorted(self._round_outcomes,
+                                    key=lambda o: o.eval_index))
+                self._round += 1
+                if registry.enabled:
+                    registry.counter("search.evals").inc(len(tasks))
+                    registry.counter("search.rounds").inc()
+                    registry.gauge("search.covered_events").set(
+                        len(self.first_cover))
+                    registry.gauge("search.corpus.size").set(
+                        len(self.corpus))
+                self._save_checkpoint()
         return SearchResult(
             evals=self._eval_cursor,
             rounds=self._round,

@@ -14,13 +14,13 @@ apart from wall-clock values.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.telemetry.ledger import epsilon_summary
 from repro.telemetry.metrics import merge_snapshots, read_snapshot
 from repro.telemetry.spans import SpanRecord, read_spans
+from repro.utils.atomic import write_text_atomic
 
 #: Merged artifact names (deliberately outside the per-process globs).
 MERGED_TRACE = "trace.jsonl"
@@ -105,17 +105,12 @@ def merge_run(trace_dir: "str | Path", write: bool = True) -> RunTelemetry:
                  for path in per_process_metric_files(trace_dir)]
     merged = RunTelemetry(spans=spans, metrics=merge_snapshots(snapshots))
     if write:
-        trace_path = trace_dir / MERGED_TRACE
-        tmp = trace_path.with_suffix(".jsonl.tmp")
-        tmp.write_text(
-            "".join(json.dumps(s.to_dict()) + "\n" for s in spans),
-            encoding="utf-8")
-        os.replace(tmp, trace_path)
-        metrics_path = trace_dir / MERGED_METRICS
-        tmp = metrics_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(merged.metrics, indent=2, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, metrics_path)
+        write_text_atomic(
+            trace_dir / MERGED_TRACE,
+            "".join(json.dumps(s.to_dict()) + "\n" for s in spans))
+        write_text_atomic(
+            trace_dir / MERGED_METRICS,
+            json.dumps(merged.metrics, indent=2, sort_keys=True))
     return merged
 
 

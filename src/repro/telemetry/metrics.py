@@ -12,9 +12,10 @@ merge is invariant to worker count and completion order).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable
+
+from repro.utils.atomic import write_text_atomic
 
 #: Default histogram bucket upper bounds (last bucket is +inf overflow).
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
@@ -187,13 +188,8 @@ class MetricsRegistry:
 
     def write(self, path: "str | Path") -> Path:
         """Atomically export the snapshot as JSON."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.snapshot(), indent=2, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        return write_text_atomic(
+            path, json.dumps(self.snapshot(), indent=2, sort_keys=True))
 
 
 class NoopMetricsRegistry:

@@ -16,11 +16,12 @@ no-op context manager: zero allocation, safe to leave in hot paths.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
+
+from repro.utils.atomic import write_text_atomic
 
 #: Span fields that carry wall-clock measurements (non-deterministic).
 TIMING_FIELDS = ("start_s", "duration_s")
@@ -174,12 +175,7 @@ class Tracer:
 
     def write(self, path: "str | Path") -> Path:
         """Atomically export the trace as a JSONL file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(self.to_jsonl(), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        return write_text_atomic(path, self.to_jsonl())
 
 
 class NoopTracer:

@@ -7,7 +7,10 @@ emits an un-noised value no matter what the fault plan does to it.
 
 import json
 import os
+import pickle
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -30,7 +33,10 @@ from repro.core.obfuscator import (
 )
 from repro.core.obfuscator.dp import DstarMechanism
 from repro.cpu.signals import NUM_SIGNALS, Signal
+from repro.fleet import ArtifactRegistry, default_artifact
+from repro.observability.exposition import write_openmetrics
 from repro.resilience import runtime as resilience
+from repro.resilience import supervisor as supervisor_mod
 from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
@@ -45,6 +51,9 @@ from repro.resilience.supervisor import (
 )
 from repro.resilience.watchdog import DaemonWatchdog
 from repro.telemetry import runtime as telemetry
+from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.spans import Tracer
+from repro.utils.atomic import write_text_atomic
 
 
 @pytest.fixture(autouse=True)
@@ -313,6 +322,78 @@ class TestShardSupervisorInline:
         assert report.quarantined[0].attempts == 1
 
 
+class _InlinePool:
+    """A stand-in process pool running tasks at submit time.
+
+    ``die_after=N`` makes the pool break after N submissions: running
+    tasks report a lost worker, later submits raise, as a real pool
+    does once a worker has died.
+    """
+
+    created: list = []
+
+    def __init__(self, max_workers, die_after=None):
+        self.die_after = die_after
+        self.submitted = 0
+        _InlinePool.created.append(self)
+
+    def submit(self, fn, *args):
+        if self.die_after is not None and self.submitted >= self.die_after:
+            raise BrokenProcessPool("a worker died")
+        self.submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestShardSupervisorPool:
+    def make(self, results):
+        return ShardSupervisor(
+            fn=lambda shard, attempt: ("ok", shard.start, attempt),
+            args=lambda shard, attempt, sacrificial: (shard, attempt),
+            on_result=results.append,
+            empty_result=lambda shard: ("empty", shard.start),
+            policy=fast_policy(), workers=2)
+
+    @staticmethod
+    def shards(*starts):
+        return [ShardSpec(index=i, start=s, count=1)
+                for i, s in enumerate(starts)]
+
+    def test_one_pool_across_runs(self, monkeypatch):
+        monkeypatch.setattr(_InlinePool, "created", [])
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor",
+                            _InlinePool)
+        results = []
+        with self.make(results) as supervisor:
+            supervisor.run(self.shards(0, 1))
+            supervisor.run(self.shards(2, 3))
+        assert len(_InlinePool.created) == 1
+        assert sorted(r[1] for r in results) == [0, 1, 2, 3]
+        assert supervisor.report.pool_restarts == 0
+
+    def test_pool_broken_before_submit_is_rebuilt(self, monkeypatch):
+        monkeypatch.setattr(_InlinePool, "created", [])
+
+        def first_pool_dies(max_workers):
+            return _InlinePool(max_workers, die_after=(
+                1 if not _InlinePool.created else None))
+
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor",
+                            first_pool_dies)
+        results = []
+        with self.make(results) as supervisor:
+            report = supervisor.run(self.shards(0, 1, 2))
+        assert sorted(r[1] for r in results) == [0, 1, 2]
+        # The unsubmitted shards never ran: no failure, no attempt spent.
+        assert all(r[2] == 0 for r in results)
+        assert report.pool_restarts == 1
+        assert report.failures == []
+
+
 class TestCheckpointDurability:
     def result(self, index=0, value=1.0):
         return ShardResult(index=index, start=0, count=4,
@@ -412,6 +493,86 @@ class TestDiskStore:
                           times=1))):
             assert store.get(key) is None  # corrupt -> safe miss
             assert store.get(key)["deltas"] == [4.0]  # fault burnt out
+
+
+def _write_trace(path):
+    tracer = Tracer(process="main")
+    with tracer.span("unit"):
+        pass
+    tracer.write(path / "trace.jsonl")
+
+
+def _write_metrics(path):
+    registry = MetricsRegistry()
+    registry.counter("unit").inc()
+    registry.write(path / "metrics.json")
+
+
+def _write_exposition(path):
+    write_openmetrics({"counters": {"unit": 1}}, path / "metrics.om")
+
+
+def _publish_artifact(path):
+    ArtifactRegistry(path / "registry").publish(default_artifact(),
+                                                workload="website")
+
+
+def _save_checkpoint(path):
+    save_shard_checkpoint(path, ShardResult(index=0, start=0, count=1,
+                                            screened={}), "fp")
+
+
+class TestAtomicWriters:
+    """Every persisted artifact goes through ``write_text_atomic``."""
+
+    @pytest.mark.parametrize("write", [
+        _write_trace, _write_metrics, _write_exposition, _publish_artifact,
+        _save_checkpoint], ids=["tracer", "metrics", "exposition",
+                                "registry", "checkpoint"])
+    def test_failed_write_removes_temp(self, write, tmp_path, monkeypatch):
+        def boom(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", boom)
+        with pytest.raises(OSError):
+            write(tmp_path)
+        monkeypatch.undo()
+        assert list(tmp_path.rglob("*.tmp")) == []
+        write(tmp_path)  # the same writer succeeds once the disk does
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_keep_generation_and_no_sweep(self, tmp_path):
+        path = tmp_path / "state.json"
+        # A live writer's temp in the same directory is never touched.
+        other = tmp_path / ".other.json.abc.tmp"
+        other.write_text("in flight", encoding="utf-8")
+        write_text_atomic(path, "one")
+        write_text_atomic(path, "two")
+        assert not (tmp_path / "state.json.bak").exists()
+        write_text_atomic(path, "three", keep_generation=True)
+        assert path.read_text(encoding="utf-8") == "three"
+        assert (tmp_path / "state.json.bak").read_text(
+            encoding="utf-8") == "two"
+        assert other.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".other.json.abc.tmp", "state.json", "state.json.bak"]
+
+    def test_interrupt_removes_temp(self, tmp_path, monkeypatch):
+        def interrupted(fd):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "fsync", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_text_atomic(tmp_path / "state.json", "payload")
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_injected_fault_survives_pickling(self):
+        fault = pickle.loads(pickle.dumps(InjectedFault("search.chunk", 64,
+                                                        "note")))
+        assert isinstance(fault, InjectedFault)
+        assert (fault.point, fault.key) == ("search.chunk", 64)
+        assert str(fault) == "injected fault at search.chunk (key=64): note"
 
 
 class TestNoiseFailClosed:

@@ -22,6 +22,7 @@ from repro.core.fuzzer.grammar import (LEGACY_SIGNATURE_LENGTH, Gadget,
                                        normalize_signature)
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, FaultSpec
+from repro.resilience.supervisor import SupervisorPolicy
 from repro.search import (Corpus, CorpusEntry, CoverageMap, CoverageSearch,
                           FrontierScheduler, SearchError, blind_search,
                           evals_to_cover, feature_id, gadget_digest)
@@ -325,7 +326,8 @@ class TestCoverageSearch:
 
 
 class TestSearchChaos:
-    """``search.corpus.write`` faults: results never change."""
+    """``search.corpus.write`` and ``search.chunk`` faults: results
+    never change."""
 
     def chaos_plan(self, mode):
         return FaultPlan(seed=CHAOS_SEED, faults=(
@@ -353,6 +355,50 @@ class TestSearchChaos:
         reloaded = Corpus(tmp_path / "corpus")
         assert reloaded.load() == 0
         assert reloaded.misses == result.corpus_size
+
+    @pytest.mark.parametrize("leg", ["kill", "raise", "hang-campaign"])
+    def test_supervised_chunk_faults(self, leg, make_fuzzer, events,
+                                     search_config, baseline):
+        """``search.chunk`` faults at 2 workers: the chunk supervisor
+        recovers every chunk and the result is the fault-free one."""
+        policy = SupervisorPolicy(backoff_base=0.005, backoff_cap=0.02,
+                                  seed=CHAOS_SEED)
+        if leg == "hang-campaign":
+            # Round 0 has two chunks, so it runs on the pool, where a
+            # hung chunk can be abandoned at its timeout.
+            plan = FaultPlan(seed=CHAOS_SEED, faults=(
+                FaultSpec(point="search.chunk", mode="hang",
+                          hang_seconds=2.0, times=1, match=(0,)),))
+            campaign = FuzzingCampaign(
+                make_fuzzer(gadget_budget=MAX_EVALS), strategy="coverage",
+                workers=2, fault_plan=plan,
+                supervisor_policy=SupervisorPolicy(
+                    shard_timeout=0.5, backoff_base=0.005,
+                    backoff_cap=0.02, seed=CHAOS_SEED))
+            campaign.run(events)
+            assert result_key(campaign.search_result) == result_key(baseline)
+            assert campaign.stats.timeouts >= 1
+            assert campaign.stats.pool_restarts >= 1
+            assert campaign.stats.quarantined == []
+            return
+        times = 1 if leg == "kill" else policy.max_retries
+        plan = FaultPlan(seed=CHAOS_SEED, faults=(
+            FaultSpec(point="search.chunk", mode=leg, times=times),))
+        search = CoverageSearch(search_config, max_evals=MAX_EVALS,
+                                workers=2, fault_plan=plan, policy=policy)
+        result = search.run()
+        assert result_key(result) == result_key(baseline)
+        report = search.report
+        assert report.quarantined == []
+        if leg == "kill":
+            assert report.pool_restarts >= 1
+            assert any(f.kind == "worker-lost" for f in report.failures)
+        else:
+            # Raised faults come back as themselves: plain retries,
+            # no pool rebuild.
+            assert report.pool_restarts == 0
+            assert report.retries == len(report.failures) > 0
+            assert {f.kind for f in report.failures} == {"error"}
 
 
 class TestBlindBaseline:
