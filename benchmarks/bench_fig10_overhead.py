@@ -21,9 +21,9 @@ EPSILONS = [2.0 ** k for k in range(3, -4, -1)]
 
 
 def _workload_matrix(workload, secret, rng_seed):
-    blocks = workload.generate_blocks(secret, np.random.default_rng(rng_seed),
-                                      WINDOW_S, SLICE_S)
-    return np.stack([b.signals for b in blocks])
+    matrix, _ = workload.generate_matrix(
+        secret, np.random.default_rng(rng_seed), WINDOW_S, SLICE_S)
+    return matrix
 
 
 @pytest.mark.benchmark(group="fig10")

@@ -26,7 +26,6 @@ CI runner without failing spuriously on smaller boxes.
 import os
 import time
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import SMOKE, emit, emit_metrics, once
@@ -63,10 +62,9 @@ def _signal_traces(artifact, specs):
     for spec in specs:
         workload = make_workload(spec.workload)
         rng = derive_stream(SEED, "workload", spec.tenant_id)
-        blocks, _ = workload.generate_blocks_with_phases(
+        matrix, _ = workload.generate_matrix(
             workload.secrets[0], rng, SLICES * SLICE_S, SLICE_S)
-        traces[spec.tenant_id] = np.stack(
-            [b.signals for b in blocks])[:SLICES]
+        traces[spec.tenant_id] = matrix[:SLICES]
     return traces
 
 

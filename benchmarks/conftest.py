@@ -127,6 +127,6 @@ def fuzz_report():
 @pytest.fixture(scope="session")
 def clean_google_matrix(website_workload):
     """One clean signal matrix for overhead accounting."""
-    blocks = website_workload.generate_blocks(
+    matrix, _ = website_workload.generate_matrix(
         "google.com", np.random.default_rng(0), WINDOW_S, SLICE_S)
-    return np.stack([b.signals for b in blocks])
+    return matrix

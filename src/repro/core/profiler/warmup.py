@@ -89,10 +89,10 @@ class WarmupProfiler:
 
     def _active_signals(self, secret, rng: np.random.Generator) -> np.ndarray:
         """Total signals of one application run in the window."""
-        blocks = self.workload.generate_blocks(
+        matrix, _ = self.workload.generate_matrix(
             secret, rng, duration_s=self.monitor_window_s,
             slice_s=self.monitor_window_s / 50)
-        return np.sum([b.signals for b in blocks], axis=0)
+        return matrix.sum(axis=0)
 
     def _idle_signals(self, rng: np.random.Generator) -> np.ndarray:
         """Total signals of the idle VM in the window."""

@@ -62,12 +62,12 @@ class Cache:
         self.num_sets = size_bytes // (ways * line_size)
         self.stats = CacheStats()
         # Each set is an OrderedDict tag -> dirty flag; order is LRU
-        # (oldest first).
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # (oldest first). A set is allocated on its first fill, so a
+        # cache that is never touched costs nothing (the LLC alone has
+        # 4096 sets); once allocated it is kept, emptied, across resets.
+        self._sets: dict[int, OrderedDict[int, bool]] = {}
         # Indices of non-empty sets, so reset/snapshot cost scales with
-        # occupancy instead of capacity (the LLC alone has 4096 sets).
+        # occupancy instead of capacity.
         self._occupied: set[int] = set()
 
     def _locate(self, address: int) -> tuple[int, int]:
@@ -77,7 +77,8 @@ class Cache:
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is currently cached."""
         set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        ways = self._sets.get(set_index)
+        return ways is not None and tag in ways
 
     def access(self, address: int, write: bool = False) -> bool:
         """Access ``address``; returns True on hit.
@@ -86,8 +87,12 @@ class Cache:
         the caller is responsible for propagating the miss to the next
         level.
         """
-        set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
+        # _locate, inlined: this is the simulator's hottest call.
+        tag, set_index = divmod(address // self.line_size, self.num_sets)
+        try:
+            ways = self._sets[set_index]
+        except KeyError:
+            ways = self._sets[set_index] = OrderedDict()
         if tag in ways:
             ways.move_to_end(tag)
             if write:
@@ -105,8 +110,8 @@ class Cache:
     def flush(self, address: int) -> bool:
         """Evict the line holding ``address``; returns True if present."""
         set_index, tag = self._locate(address)
-        ways = self._sets[set_index]
-        if tag in ways:
+        ways = self._sets.get(set_index)
+        if ways is not None and tag in ways:
             del ways[tag]
             self.stats.flushes += 1
             if not ways:

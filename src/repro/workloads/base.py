@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.cpu.core import ActivityBlock
-from repro.cpu.signals import Signal, zero_signals
+from repro.cpu.signals import NUM_SIGNALS, Signal, zero_signals
 from repro.utils.rng import ensure_rng
 
 
@@ -137,6 +137,11 @@ class Phase:
         return max(0.05, rng.normal(1.0, self.intensity_jitter))
 
 
+def _as_blocks(matrix: np.ndarray, slice_s: float) -> list[ActivityBlock]:
+    """One :class:`ActivityBlock` per row of a rendered slice matrix."""
+    return [ActivityBlock(signals=row, duration_s=slice_s) for row in matrix]
+
+
 @dataclass
 class PhaseProgram:
     """An ordered phase list executed once per workload run."""
@@ -166,53 +171,74 @@ class PhaseProgram:
                                   rng: np.random.Generator,
                                   baseline: InstructionMix | None = None
                                   ) -> tuple[list[ActivityBlock], list[str]]:
-        """Render slices plus the name of the dominant phase per slice.
+        """:meth:`render_matrix_with_phases`, one block per slice."""
+        matrix, labels = self.render_matrix_with_phases(duration_s, slice_s,
+                                                        rng, baseline)
+        return _as_blocks(matrix, slice_s), labels
+
+    def render_matrix_with_phases(self, duration_s: float, slice_s: float,
+                                  rng: np.random.Generator,
+                                  baseline: InstructionMix | None = None
+                                  ) -> tuple[np.ndarray, list[str]]:
+        """Render the ``(T, NUM_SIGNALS)`` slice matrix plus the name of
+        the dominant phase per slice.
 
         The phase labels give ground-truth frame alignment — what an
         attacker who controls the template VM has during offline
         training (the MEA case). Slices dominated by the idle baseline
         get the empty-string label.
+
+        Every slice starts at the baseline's ``rates * slice_s``; each
+        phase, in time order, adds ``rates * overlap`` to the slices it
+        overlaps, so a slice's sum is accumulated in the same order as
+        integrating it phase by phase. A slice's label is its first
+        phase of maximal overlap, kept only when that overlap covers at
+        least 30% of the slice.
         """
         if duration_s <= 0 or slice_s <= 0:
             raise ValueError("duration_s and slice_s must be positive")
         baseline = baseline or idle_mix()
-        baseline_rates = baseline.rate_vector()
-        num_slices = int(round(duration_s / slice_s))
-        # Materialize the phase timeline for this run.
-        timeline: list[tuple[float, float, np.ndarray, str]] = []
-        t = 0.0
+        # Materialize this run's phase timeline, drawing each phase's
+        # duration then intensity; every mix is validated, even one
+        # whose phase falls past the window.
+        bounds = [0.0]
+        phase_rates = []
         for phase in self.phases:
             phase_duration = phase.sample_duration(rng)
             intensity = phase.sample_intensity(rng)
-            rates = phase.mix.rate_vector() * intensity
-            timeline.append((t, t + phase_duration, rates, phase.name))
-            t += phase_duration
-        blocks: list[ActivityBlock] = []
-        labels: list[str] = []
-        cursor = 0  # phases are time-ordered; avoid rescanning from zero
-        for i in range(num_slices):
-            start, end = i * slice_s, (i + 1) * slice_s
-            signals = baseline_rates * slice_s
-            best_overlap = 0.0
-            best_name = ""
-            while cursor < len(timeline) and timeline[cursor][1] <= start:
-                cursor += 1
-            j = cursor
-            while j < len(timeline) and timeline[j][0] < end:
-                ph_start, ph_end, rates, name = timeline[j]
-                overlap = min(end, ph_end) - max(start, ph_start)
-                if overlap > 0:
-                    signals = signals + rates * overlap
-                    if overlap > best_overlap:
-                        best_overlap = overlap
-                        best_name = name
-                j += 1
-            # Per-slice multiplicative jitter: microarchitectural noise
-            # beyond measurement noise (scheduling, frequency wander).
-            signals = signals * max(0.0, rng.normal(1.0, 0.012))
-            blocks.append(ActivityBlock(signals=signals, duration_s=slice_s))
-            labels.append(best_name if best_overlap >= 0.3 * slice_s else "")
-        return blocks, labels
+            phase_rates.append(phase.mix.rate_vector() * intensity)
+            bounds.append(bounds[-1] + phase_duration)
+        num_slices = int(round(duration_s / slice_s))
+        starts = np.arange(num_slices) * slice_s
+        ends = np.arange(1, num_slices + 1) * slice_s
+        # Phase k overlaps exactly the slices in [lo[k], hi[k]): each
+        # ends after the phase starts and starts before it ends, so its
+        # overlap is positive.
+        lo = np.searchsorted(ends, bounds[:-1], side="right").tolist()
+        hi = np.searchsorted(starts, bounds[1:], side="left").tolist()
+        matrix = np.empty((num_slices, NUM_SIGNALS))
+        matrix[:] = baseline.rate_vector() * slice_s
+        best_overlap = np.zeros(num_slices)
+        best_phase = np.full(num_slices, -1)
+        for index, rates in enumerate(phase_rates):
+            a, b = lo[index], hi[index]
+            if a >= b:
+                continue
+            overlap = (np.minimum(ends[a:b], bounds[index + 1])
+                       - np.maximum(starts[a:b], bounds[index]))
+            matrix[a:b] += rates * overlap[:, None]
+            # Earlier phases end before slice a + 1 starts, so only
+            # slice a can already hold a (larger or equal) overlap.
+            if overlap[0] > best_overlap[a]:
+                best_overlap[a], best_phase[a] = overlap[0], index
+            best_overlap[a + 1:b] = overlap[1:]
+            best_phase[a + 1:b] = index
+        # Per-slice multiplicative jitter: microarchitectural noise
+        # beyond measurement noise (scheduling, frequency wander).
+        matrix *= np.maximum(0.0, rng.normal(1.0, 0.012, num_slices))[:, None]
+        best_phase[best_overlap < 0.3 * slice_s] = -1
+        names = [phase.name for phase in self.phases] + [""]
+        return matrix, [names[k] for k in best_phase.tolist()]
 
 
 class Workload(abc.ABC):
@@ -244,11 +270,22 @@ class Workload(abc.ABC):
             duration_s: float | None = None, slice_s: float | None = None
     ) -> tuple[list[ActivityBlock], list[str]]:
         """Run once; returns (slices, dominant phase name per slice)."""
+        slice_s = slice_s if slice_s is not None else self.default_slice_s
+        matrix, labels = self.generate_matrix(secret, rng, duration_s,
+                                              slice_s)
+        return _as_blocks(matrix, slice_s), labels
+
+    def generate_matrix(
+            self, secret, rng: "int | np.random.Generator | None" = None,
+            duration_s: float | None = None, slice_s: float | None = None
+    ) -> tuple[np.ndarray, list[str]]:
+        """Run once; returns the ``(T, NUM_SIGNALS)`` slice matrix and the
+        dominant phase name per slice."""
         if secret not in self.secrets:
             raise ValueError(f"unknown secret {secret!r} for {type(self).__name__}")
         gen = ensure_rng(rng)
         program = self.program_for(secret, gen)
-        return program.render_blocks_with_phases(
+        return program.render_matrix_with_phases(
             duration_s if duration_s is not None else self.default_duration_s,
             slice_s if slice_s is not None else self.default_slice_s,
             gen)

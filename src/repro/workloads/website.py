@@ -13,6 +13,7 @@ traces.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import replace
 
@@ -78,6 +79,8 @@ class WebsiteWorkload(Workload):
         if not sites:
             raise ValueError("sites must be non-empty")
         self._sites = list(sites)
+        # Signatures are pure functions of the site name, built once per
+        # process and shared by every instance (tuples of frozen phases).
         self._signatures = {site: self._signature(site) for site in self._sites}
 
     @property
@@ -139,16 +142,15 @@ class WebsiteWorkload(Workload):
         )
 
     @classmethod
-    def _signature(cls, site: str) -> list[Phase]:
-        """Build the site's nominal phase list (deterministic)."""
+    @functools.cache
+    def _signature(cls, site: str) -> tuple[Phase, ...]:
+        """The site's nominal phase table (deterministic, cached)."""
         p = _site_params(site)
-        phases = []
-        for name, mix, duration in cls._SKELETON:
-            phases.append(Phase(
-                name, cls._modulate_mix(mix, p), duration,
-                duration_jitter=cls._RUN_DURATION_JITTER,
-                intensity_jitter=cls._RUN_INTENSITY_JITTER))
-        return phases
+        return tuple(
+            Phase(name, cls._modulate_mix(mix, p), duration,
+                  duration_jitter=cls._RUN_DURATION_JITTER,
+                  intensity_jitter=cls._RUN_INTENSITY_JITTER)
+            for name, mix, duration in cls._SKELETON)
 
     def program_for(self, secret: str, rng: np.random.Generator) -> PhaseProgram:
         try:

@@ -1,5 +1,8 @@
 """Tests for the synthetic guest workloads."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.workloads import (
     DnnWorkload,
     InstructionMix,
     KeystrokeWorkload,
+    RsaSignWorkload,
     WebsiteWorkload,
 )
 from repro.workloads.base import Phase, PhaseProgram, idle_mix
@@ -70,6 +74,15 @@ class TestPhaseProgram:
         with pytest.raises(ValueError):
             PhaseProgram().render_blocks(0.0, 0.01, rng)
 
+    def test_rejects_bad_mix_past_window(self, rng):
+        program = PhaseProgram(phases=[
+            Phase("a", InstructionMix(ips=1e9), 0.5, duration_jitter=0.0,
+                  intensity_jitter=0.0),
+            Phase("bad", InstructionMix(ips=-1.0), 0.5,
+                  duration_jitter=0.0, intensity_jitter=0.0)])
+        with pytest.raises(ValueError, match="ips"):
+            program.render_blocks(0.1, 0.01, rng)
+
 
 class TestWebsiteWorkload:
     def test_45_sites(self):
@@ -99,6 +112,36 @@ class TestWebsiteWorkload:
         blocks = WebsiteWorkload().generate_blocks(
             "google.com", rng, duration_s=1.0, slice_s=0.01)
         assert len(blocks) == 100
+
+    def test_signature_tables_shared(self):
+        a, b = WebsiteWorkload(), WebsiteWorkload()
+        table = a._signatures["google.com"]
+        assert table is b._signatures["google.com"]
+        assert isinstance(table, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table[0].duration_s = 1.0
+
+    def test_custom_sites(self, rng):
+        w = WebsiteWorkload(sites=("example.org", "google.com"))
+        assert w.secrets == ["example.org", "google.com"]
+        assert w._signatures["google.com"] \
+            is WebsiteWorkload()._signatures["google.com"]
+        assert len(w.generate_blocks("example.org", rng, duration_s=0.1,
+                                     slice_s=0.01)) == 10
+        with pytest.raises(ValueError):
+            w.generate_blocks("youtube.com", rng)
+        with pytest.raises(ValueError):
+            w.program_for("youtube.com", rng)
+
+    def test_programs_independent(self, rng):
+        mine = WebsiteWorkload().program_for("google.com", rng)
+        theirs = WebsiteWorkload().program_for("google.com", rng)
+        nominal = list(theirs.phases)
+        mine.phases.pop()
+        mine.phases[0] = Phase("tampered", idle_mix(), 9.0)
+        assert theirs.phases == nominal
+        assert WebsiteWorkload().program_for("google.com", rng).phases \
+            == nominal
 
 
 class TestKeystrokeWorkload:
@@ -171,3 +214,62 @@ class TestDnnWorkload:
             "alexnet", rng, duration_s=1.0, slice_s=0.005)
         seen = [l for l in labels if l]
         assert "conv" in seen and "fc" in seen
+
+
+class TestRenderPinned:
+    """Pins the renderer's output bit for bit.
+
+    Each digest covers every slice's signal bytes, dominant-phase label
+    and duration over a grid of secrets, seeds, slice widths that do
+    not divide the program evenly, and windows both shorter and longer
+    than the program. Any change to the rendering arithmetic, its
+    floating-point summation order or its RNG draw order changes them.
+    """
+
+    SLICES = (1e-3, 3e-3, 7e-4, 1e-2)
+    WINDOWS = (0.3, 3.5)
+    SEEDS = (0, 7)
+
+    CASES = {
+        "website": (WebsiteWorkload, ("google.com", "cnn.com", "zoom.us")),
+        "keystroke": (KeystrokeWorkload, (0, 3, 9)),
+        "dnn": (DnnWorkload, ("alexnet", "resnet18", "vit_b_16")),
+        "rsa": (RsaSignWorkload, (0, 5, 15)),
+    }
+
+    DIGESTS = {
+        "website": (
+            "96f836c5be20f51922a09813462e5e44"
+            "93e7ea164b047bf84bc71b9d2aad10b1"),
+        "keystroke": (
+            "9958999f24ee0c4ad012ee5aadf8d665"
+            "e2a9eb9073f90667f6a4b60c974f3bcc"),
+        "dnn": (
+            "4d38f18607d50ee50b6783ff05040cf1"
+            "2ff9dc867f8181c587802a217f0ba618"),
+        "rsa": (
+            "b3ea3fc920f6e9e017effd23e567fdd8"
+            "aee51e2b43c03689a6653b5f51cb468a"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_render_digest(self, name):
+        factory, secrets = self.CASES[name]
+        workload = factory()
+        if name == "rsa":
+            secrets = tuple(workload.secrets[i] for i in secrets)
+        digest = hashlib.sha256()
+        for secret in secrets:
+            for seed in self.SEEDS:
+                for window in self.WINDOWS:
+                    for slice_s in self.SLICES:
+                        blocks, labels = workload.generate_blocks_with_phases(
+                            secret, np.random.default_rng(seed), window,
+                            slice_s)
+                        assert len(blocks) == len(labels)
+                        for block in blocks:
+                            digest.update(block.signals.tobytes())
+                        digest.update(np.array(
+                            [b.duration_s for b in blocks]).tobytes())
+                        digest.update("\n".join(labels).encode("utf-8"))
+        assert digest.hexdigest() == self.DIGESTS[name]
