@@ -19,13 +19,14 @@ Three mechanisms remove gadgets whose reported effect is an artifact:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.fuzzer.generator import ExecutionHarness
 from repro.core.fuzzer.grammar import Gadget
-from repro.utils.rng import ensure_rng
+from repro.utils.rng import derive_stream, ensure_rng
 
 
 @dataclass
@@ -54,6 +55,8 @@ class GadgetConfirmer:
         R in the repeated-triggers protocol.
     lambda1 / lambda2:
         Accept thresholds (paper: [-0.2, 0.2] and 10).
+    rng:
+        Seeds the entropy every confirmation stream derives from.
     """
 
     def __init__(self, harness: ExecutionHarness, executions: int = 10,
@@ -68,43 +71,74 @@ class GadgetConfirmer:
                 f"trigger_repeats must be >= 2, got {trigger_repeats}")
         if lambda1[0] >= lambda1[1]:
             raise ValueError(f"lambda1 bounds must be ordered: {lambda1}")
+        if lambda2 <= 0:
+            raise ValueError(f"lambda2 must be > 0, got {lambda2}")
         self.harness = harness
         self.executions = executions
         self.trigger_repeats = trigger_repeats
         self.lambda1 = lambda1
         self.lambda2 = lambda2
-        self._rng = ensure_rng(rng)
+        # A gadget's draws depend on (entropy, gadget index) only,
+        # never on what was confirmed before it.
+        self.entropy = int(ensure_rng(rng).integers(2**63))
 
-    # -- mechanism 1: multiple executions --------------------------------
+    def _start(self, *labels: "int | str") -> np.random.Generator:
+        """Reset and warm the core, then reseed the harness.
 
-    def median_delta(self, gadget: Gadget, event_index: int,
-                     cold: bool = False) -> tuple[float, float]:
-        """(median per-iteration delta v, median cumulative delta V).
+        Every confirmation unit starts from the canonical state
+        screening measures from, under its own derived stream, so its
+        verdicts do not depend on whatever ran on the core before.
+        """
+        stream = derive_stream(self.entropy, *labels)
+        self.harness.core.reset_microarch_state()
+        self.harness.warm_measurement_state()
+        self.harness.set_rng(stream)
+        return stream
+
+    # -- mechanisms 1 + 2: multiple executions, repeated triggers ---------
+
+    def confirm(self, gadget: Gadget, events: "int | Sequence[int]",
+                gadget_index: int = 0
+                ) -> "ConfirmationResult | list[ConfirmationResult]":
+        """Cold-vs-hot repeated-trigger validation of one gadget.
+
+        ``events`` is one event index (one result returned) or a
+        sequence of them (one result per event, in order): the gadget
+        is measured once for all of its candidate events.
+        ``gadget_index`` keys its derived stream.
 
         One execution repeats the path R times with the counter read
         between iterations (Fig. 6); v is the median per-iteration
-        change, V the cumulative change. The whole execution is
-        repeated ``executions`` times (mechanism 1) and the medians of
-        v and V across executions are returned.
+        change, V the cumulative change. The ``executions`` executions
+        of a path (mechanism 1) run back to back as one harness call of
+        ``executions * R`` iterations, split into blocks of R; the
+        medians of v and V across blocks feed the lambda1/lambda2
+        verdict per event (mechanism 2).
         """
-        event = np.array([event_index])
-        body = (list(gadget.reset) if cold
-                else list(gadget.reset) + list(gadget.trigger))
-        v_samples = []
-        big_v_samples = []
-        for _ in range(self.executions):
-            per_iteration, cumulative = self.harness.measure_iterations(
-                body, event, self.trigger_repeats)
-            v_samples.append(float(np.median(per_iteration[:, 0])))
-            big_v_samples.append(float(cumulative[0]))
-        return float(np.median(v_samples)), float(np.median(big_v_samples))
+        single = isinstance(events, (int, np.integer))
+        event_indices = np.atleast_1d(np.asarray(events, dtype=int))
+        self._start("confirm", gadget_index)
+        r = self.trigger_repeats
+        medians = []
+        for body in (list(gadget.reset),
+                     list(gadget.reset) + list(gadget.trigger)):
+            per_iteration, _ = self.harness.measure_iterations(
+                body, event_indices, self.executions * r)
+            blocks = per_iteration.reshape(self.executions, r,
+                                           len(event_indices))
+            medians.append((np.median(np.median(blocks, axis=1), axis=0),
+                            np.median(blocks.sum(axis=1), axis=0)))
+        (v1, big_v1), (v2, big_v2) = medians
+        results = [self._verdict(gadget, int(event), float(v1[j]),
+                                 float(big_v1[j]), float(v2[j]),
+                                 float(big_v2[j]))
+                   for j, event in enumerate(event_indices)]
+        return results[0] if single else results
 
-    # -- mechanism 2: repeated triggers -----------------------------------
-
-    def confirm(self, gadget: Gadget, event_index: int) -> ConfirmationResult:
-        """Cold-vs-hot repeated-trigger validation of one candidate."""
-        v1, big_v1 = self.median_delta(gadget, event_index, cold=True)
-        v2, big_v2 = self.median_delta(gadget, event_index, cold=False)
+    def _verdict(self, gadget: Gadget, event_index: int, v1: float,
+                 big_v1: float, v2: float,
+                 big_v2: float) -> ConfirmationResult:
+        """The repeated-trigger accept test for one (gadget, event)."""
         r = self.trigger_repeats
         per_iteration = v2 - v1
         expected = r * per_iteration
@@ -139,9 +173,14 @@ class GadgetConfirmer:
         Keeps candidates whose per-iteration delta stays within
         ``tolerance`` (relative) of the original measurement — the
         cross-validation that removes inherited-dirty-state artifacts.
+        The pass is sequential on purpose — each candidate runs on the
+        state its predecessor left — but it starts from a reset, warmed
+        core under its own derived stream.
         """
+        if tolerance < 0:
+            raise ValueError(f"tolerance must be >= 0, got {tolerance}")
         confirmed = [c for c in candidates if c.confirmed]
-        order = self._rng.permutation(len(confirmed))
+        order = self._start("reorder").permutation(len(confirmed))
         survivors: list[ConfirmationResult] = []
         for i in order:
             candidate = confirmed[int(i)]

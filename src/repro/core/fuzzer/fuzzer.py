@@ -147,7 +147,7 @@ class EventFuzzer:
         if shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         root = ensure_rng(rng)
-        core_rng, grammar_rng, harness_rng, confirm_rng = spawn_rng(root, 4)
+        core_rng, grammar_rng = spawn_rng(root, 2)
         self.processor_model = processor_model
         self.isa_catalog = (isa_catalog if isa_catalog is not None
                             else shared_catalog())
@@ -160,15 +160,18 @@ class EventFuzzer:
         self.confirm_per_event = confirm_per_event
         self.shard_size = shard_size
         self.core = Core(processor_model, rng=core_rng)
-        self.harness = ExecutionHarness(self.core, unroll=unroll,
-                                        rng=harness_rng)
+        # The confirmer reseeds the harness for every gadget it measures.
+        self.harness = ExecutionHarness(self.core, unroll=unroll, rng=0)
         self._grammar_rng = grammar_rng
-        self.confirmer = GadgetConfirmer(self.harness, rng=confirm_rng)
         self.filter = GadgetFilter()
         # Root entropy of the per-gadget screening streams: gadget i's
         # sampling and measurement noise derive from (entropy, i) only,
-        # so any shard partition screens identically.
+        # so any shard partition screens identically. Confirmation
+        # derives its per-gadget streams from the same root, so its
+        # verdicts depend only on the configuration and the plan.
         self._screen_entropy = int(self._grammar_rng.integers(2**63))
+        self.confirmer = GadgetConfirmer(self.harness,
+                                         rng=self._screen_entropy)
         self._cleanup_report: CleanupReport | None = None
         self._gadget_memo: dict[int, Gadget] = {}
         self._replay_grammar: GadgetGrammar | None = None
@@ -287,18 +290,19 @@ class EventFuzzer:
         event_indices = np.asarray(event_indices, dtype=int)
         tracer = telemetry.tracer()
 
-        # Step 3: confirmation per event. Candidates mix the strongest
-        # screened deltas with a random sample of the remainder — pure
+        # Step 3: confirmation. Candidates mix the strongest screened
+        # deltas with a random sample of the remainder — pure
         # top-by-delta favors heavyweight resets (CPUID-sized), which
         # the lambda2 test then rejects for any-instruction events.
+        # Picks are grouped by gadget: each distinct gadget is measured
+        # once for all the events it is a candidate for.
         start = time.perf_counter()
         with tracer.span("fuzz.confirm", events=len(event_indices)):
             pick_rng = ensure_rng(int(self._grammar_rng.integers(2**63)))
-            confirmed: dict[int, list[ConfirmationResult]] = {}
+            plan: dict[int, list[int]] = {}
             for event in (int(e) for e in event_indices):
-                candidates = [(delta, self.gadget_at(index))
-                              for index, delta in screened.get(event, [])]
-                candidates.sort(key=lambda pair: -pair[0])
+                candidates = sorted(screened.get(event, []),
+                                    key=lambda pair: -pair[1])
                 head = candidates[:self.confirm_per_event // 2]
                 tail = candidates[self.confirm_per_event // 2:]
                 extra_count = min(len(tail),
@@ -307,9 +311,21 @@ class EventFuzzer:
                     picks = pick_rng.choice(len(tail), size=extra_count,
                                             replace=False)
                     head = head + [tail[int(i)] for i in picks]
-                results = [self.confirmer.confirm(gadget, event)
-                           for _, gadget in head]
-                confirmed[event] = self.confirmer.reorder_validate(results)
+                for index, _ in head:
+                    plan.setdefault(index, []).append(event)
+            pairs = sum(len(events) for events in plan.values())
+            with tracer.span("fuzz.confirm.measure", gadgets=len(plan),
+                             pairs=pairs):
+                results = [result for index in sorted(plan)
+                           for result in self.confirmer.confirm(
+                               self.gadget_at(index), plan[index],
+                               gadget_index=index)]
+            with tracer.span("fuzz.confirm.reorder"):
+                survivors = self.confirmer.reorder_validate(results)
+            confirmed: dict[int, list[ConfirmationResult]] = {
+                int(e): [] for e in event_indices}
+            for result in survivors:
+                confirmed[result.event_index].append(result)
         step_seconds["confirmation"] = time.perf_counter() - start
 
         # Step 4: filtering (clustering + covering set).
@@ -323,6 +339,8 @@ class EventFuzzer:
         registry = telemetry.metrics()
         if registry.enabled:
             registry.counter("fuzz.events_fuzzed").inc(len(event_indices))
+            registry.counter("fuzz.confirm_gadgets").inc(len(plan))
+            registry.counter("fuzz.confirm_pairs").inc(pairs)
             registry.counter("fuzz.confirmed").inc(
                 sum(len(r) for r in confirmed.values()))
             registry.gauge("fuzz.covering_gadgets").set(len(covering))

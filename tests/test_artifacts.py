@@ -121,3 +121,20 @@ class TestInstantiation:
             == deployment.obfuscator.mechanism.sensitivity
         assert len(restored.covering_gadgets) \
             == deployment.covering_gadgets
+
+    def test_deploy_artifact_identical_across_workers(self):
+        # Screening shards and confirmation both draw from per-gadget
+        # derived streams, so the worker count cannot change a byte.
+        from repro.core import Aegis
+        from repro.workloads import WebsiteWorkload
+        workload = WebsiteWorkload()
+        documents = set()
+        for workers in (1, 2, 4):
+            aegis = Aegis(workload, epsilon=0.5, runs_per_secret=3,
+                          gadget_budget=240, mi_threshold_bits=1.0,
+                          workers=workers, shard_size=40, rng=23)
+            deployment = aegis.deploy(secrets=workload.secrets[:4])
+            assert deployment.covering_gadgets > 0
+            documents.add(
+                DeploymentArtifact.from_deployment(deployment).to_json())
+        assert len(documents) == 1

@@ -173,6 +173,53 @@ class TestConfirmer:
             GadgetConfirmer(harness, trigger_repeats=1)
         with pytest.raises(ValueError):
             GadgetConfirmer(harness, lambda1=(0.2, -0.2))
+        # lambda2 <= 0 would silently disable the reset-side-effect test.
+        for lambda2 in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                GadgetConfirmer(harness, lambda2=lambda2)
+        # A negative tolerance would drop every candidate.
+        with pytest.raises(ValueError):
+            GadgetConfirmer(harness).reorder_validate([], tolerance=-0.1)
+
+    def test_event_sequence_gives_one_result_per_event(self, harness,
+                                                       isa_catalog,
+                                                       amd_catalog):
+        confirmer = GadgetConfirmer(harness, executions=5, rng=0)
+        gadget = _gadget(isa_catalog, ["CLFLUSH m8"], ["MOV r64,m64"])
+        events = [amd_catalog.index_of("DATA_CACHE_REFILLS_FROM_SYSTEM"),
+                  amd_catalog.index_of("RETIRED_X87_FP_OPS")]
+        results = confirmer.confirm(gadget, events, gadget_index=3)
+        assert [r.event_index for r in results] == events
+        assert results[1].reason == "trigger adds no counts"
+        single = confirmer.confirm(gadget, events[1], gadget_index=3)
+        assert isinstance(single, ConfirmationResult)
+        assert single.event_index == events[1]
+
+    def test_verdicts_independent_of_dirty_state(self, core, isa_catalog,
+                                                 amd_catalog):
+        # Confirmation starts every gadget from a reset, warmed core
+        # under its own derived stream: a CLFLUSH gadget confirmed
+        # first (which leaves the data line flushed) changes nothing.
+        gadget = _gadget(isa_catalog, ["CLFLUSH m8"], ["MOV r64,m64"])
+        dirty = _gadget(isa_catalog, [], ["CLFLUSH m8"])
+        events = [amd_catalog.index_of("DATA_CACHE_REFILLS_FROM_SYSTEM"),
+                  amd_catalog.index_of("RETIRED_UOPS"),
+                  amd_catalog.index_of("CACHE_LINE_FLUSHES")]
+
+        def verdicts(results):
+            return [(r.event_index, r.confirmed, r.reason,
+                     r.per_iteration_delta, r.cold_median, r.hot_median)
+                    for r in results]
+
+        first = GadgetConfirmer(ExecutionHarness(core, unroll=16, rng=0),
+                                executions=5, rng=7)
+        alone = verdicts(first.confirm(gadget, events, gadget_index=3))
+        harness = ExecutionHarness(core, unroll=16, rng=1)
+        after = GadgetConfirmer(harness, executions=5, rng=7)
+        after.confirm(dirty, events, gadget_index=2)
+        harness.measure_gadget(dirty, np.array(events), repeats=1)
+        assert verdicts(after.confirm(gadget, events, gadget_index=3)) \
+            == alone
 
 
 def _confirmation(gadget, event, delta):

@@ -79,6 +79,39 @@ class TestFuzzingReport:
             fuzzer.fuzz(np.array([], dtype=int))
 
 
+class TestConfirmationPlan:
+    def test_one_harness_call_per_path_per_gadget(self, make_fuzzer,
+                                                  fuzz_events):
+        # Four (event, gadget) pairs over three distinct gadgets: each
+        # gadget is measured once for all its events, cold and hot.
+        fuzzer = make_fuzzer(confirm_per_event=8)
+        e0, e1, e2, _ = fuzz_events
+        screened = {e0: [(0, 5.0), (1, 4.0)], e1: [(0, 3.0), (2, 1.0)],
+                    e2: [(1, 2.0)]}
+        harness = fuzzer.confirmer.harness
+        measure = harness.measure_iterations
+        calls = []
+        before_reorder = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return measure(*args, **kwargs)
+
+        reorder = fuzzer.confirmer.reorder_validate
+
+        def spy(results):
+            before_reorder.append(len(calls))
+            return reorder(results)
+
+        harness.measure_iterations = counting
+        fuzzer.confirmer.reorder_validate = spy
+        fuzzer.finalize(fuzzer.run_cleanup(), screened,
+                        np.array([e0, e1, e2]), {})
+        assert before_reorder == [2 * 3]
+        assert [sorted(events) for events in calls[:6]] == [
+            sorted([e0, e1])] * 2 + [sorted([e0, e2])] * 2 + [[e1]] * 2
+
+
 def make_report(**overrides):
     """A minimal FuzzingReport for edge-case accessors."""
     fields = dict(microarch="amd-epyc-7252", cleanup=None,
