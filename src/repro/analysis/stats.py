@@ -7,8 +7,9 @@ helpers produce the same diagnostics.
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy import stats
 
 
 def gaussian_fit(values: np.ndarray) -> tuple[float, float]:
@@ -33,7 +34,8 @@ def qq_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("degenerate sample: zero variance")
     standardized = np.sort((values - mu) / sigma)
     probs = (np.arange(1, values.size + 1) - 0.5) / values.size
-    theoretical = stats.norm.ppf(probs)
+    inv_cdf = NormalDist().inv_cdf
+    theoretical = np.array([inv_cdf(p) for p in probs.tolist()])
     return theoretical, standardized
 
 

@@ -10,7 +10,8 @@ category, and the microarchitectural semantics the simulator needs
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 
 class InstructionClass(enum.Enum):
@@ -186,14 +187,23 @@ class InstructionSpec:
     latency: int = 1
     width_bits: int = 64
 
-    @property
+    # The derived attributes below are computed once per spec and kept
+    # in the instance ``__dict__`` (search evaluates them ~10^5 times a
+    # run).  Equality and hashing use the fields only; pickling does
+    # too, via ``__getstate__``, so a populated cache never changes a
+    # spec's identity or its pickled bytes.
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
     def name(self) -> str:
         """Unique variant name, e.g. ``"ADD r64,r64"``."""
         if self.operand_form is OperandForm.NONE:
             return self.mnemonic
         return f"{self.mnemonic} {self.operand_form.value}"
 
-    @property
+    @cached_property
     def reads_memory(self) -> bool:
         """Whether the variant performs a memory load."""
         return (
@@ -202,7 +212,7 @@ class InstructionSpec:
                                InstructionClass.RET, InstructionClass.STRING)
         )
 
-    @property
+    @cached_property
     def writes_memory(self) -> bool:
         """Whether the variant performs a memory store."""
         return (

@@ -16,7 +16,11 @@ threshold crossing confirms them.
 Feature ids are the first 8 bytes of a SHA-256 over the textual
 ``event|unit|bucket`` triple — never Python ``hash()`` — so maps built
 in different processes, in different orders, by different worker
-counts, are bit-identical.
+counts, are bit-identical.  The feature domain is finite (events ×
+units × buckets, plus one frontier id per unit), so each process
+hashes it once into an id table (:func:`feature_table`) and extraction
+is array gathers over that table, as AFL-style fuzzers index a fixed
+coverage map; :func:`feature_id` stays the definition of every entry.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,12 +98,63 @@ def feature_id(event: int, unit: str, bucket: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _magnitude_bucket(delta: float, threshold: float) -> int:
-    """1 + floor(log4(delta / threshold)), clamped to the bucket cap."""
-    if threshold <= 0.0:
-        return 1
-    ratio = max(1.0, delta / threshold)
-    return 1 + min(MAX_MAGNITUDE_BUCKET, int(math.log2(ratio)) // 2)
+#: Signed bucket range: ``±(1 .. MAX_MAGNITUDE_BUCKET + 1)``; the id
+#: table's bucket axis is offset by this so bucket ``b`` sits at
+#: column ``b + BUCKET_OFFSET`` (column ``BUCKET_OFFSET`` is bucket 0).
+BUCKET_OFFSET = MAX_MAGNITUDE_BUCKET + 1
+
+
+def _bucket_edge(k: int) -> float:
+    """Smallest ratio ``r`` with ``math.log2(r) >= 2k``.
+
+    ``math.log2`` rounds ratios a few ulps below 16 and 64 up to the
+    power itself, so the edge can sit just under ``4**k``.
+    """
+    edge = 4.0 ** k
+    while math.log2(math.nextafter(edge, 0.0)) >= 2 * k:
+        edge = math.nextafter(edge, 0.0)
+    return edge
+
+
+#: Ratio edges of the magnitude buckets, as ``math.log2`` draws them.
+_BUCKET_EDGES = np.array([_bucket_edge(k)
+                          for k in range(1, MAX_MAGNITUDE_BUCKET + 1)])
+
+
+def _magnitude_buckets(deltas: np.ndarray, thresholds: np.ndarray
+                       ) -> np.ndarray:
+    """1 + floor(log4(delta / threshold)), clamped to the bucket cap.
+
+    Counts the bucket edges each ratio reaches, which is exactly
+    ``1 + min(cap, int(math.log2(max(1, ratio))) // 2)`` element by
+    element; a threshold <= 0 gives bucket 1.
+    """
+    positive = thresholds > 0.0
+    ratio = np.divide(deltas, thresholds, out=np.ones_like(deltas),
+                      where=positive)
+    return 1 + (ratio[:, None] >= _BUCKET_EDGES).sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def feature_table(event_indices: tuple[int, ...], units: tuple[str, ...]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Every feature id of one event subset, hashed once per process.
+
+    Returns ``(ids, frontier)``: ``ids[j, u, b + BUCKET_OFFSET]`` is
+    ``feature_id(event_indices[j], units[u], b)`` for every signed
+    bucket ``b``, and ``frontier[u]`` is ``feature_id(FRONTIER_EVENT,
+    units[u], 0)``.  Both are ``uint64`` and read-only.
+    """
+    buckets = range(-BUCKET_OFFSET, BUCKET_OFFSET + 1)
+    ids = np.array([[[feature_id(event, unit, b) for b in buckets]
+                     for unit in units] for event in event_indices],
+                   dtype=np.uint64).reshape(
+                       len(event_indices), len(units), len(buckets))
+    frontier = np.array([feature_id(FRONTIER_EVENT, unit, 0)
+                         for unit in units], dtype=np.uint64)
+    ids.flags.writeable = False
+    frontier.flags.writeable = False
+    return ids, frontier
 
 
 @dataclass(frozen=True)
@@ -123,7 +179,9 @@ class CoverageExtractor:
 
     Built once per (catalog, event subset, thresholds); extraction is a
     pure function of the measured ``(signals, deltas)`` pair, so the
-    same gadget evaluated in any worker yields the same sample.
+    same gadget evaluated in any worker yields the same sample.  The id
+    table is fetched on the first extraction, not here: search builds
+    an extractor per chunk, and one that is never used hashes nothing.
     """
 
     def __init__(self, catalog, event_indices, thresholds) -> None:
@@ -133,8 +191,13 @@ class CoverageExtractor:
             raise ValueError("thresholds must align with event_indices")
         self.weights = np.asarray(
             catalog.weights[self.event_indices], dtype=np.float64)
-        self._unit_of = tuple(UNIT_OF_SIGNAL[Signal(s)]
-                              for s in range(self.weights.shape[1]))
+        unit_of = [UNIT_OF_SIGNAL[Signal(s)]
+                   for s in range(self.weights.shape[1])]
+        self._units = tuple(dict.fromkeys(unit_of))
+        #: Unit column of each signal.
+        self._unit_index = np.array([self._units.index(u) for u in unit_of],
+                                    dtype=np.intp)
+        self._table: "tuple[np.ndarray, np.ndarray] | None" = None
 
     def extract(self, signals, deltas) -> CoverageSample:
         """Coverage of one measurement.
@@ -143,38 +206,39 @@ class CoverageExtractor:
         ``deltas`` the measured per-event screening deltas (aligned
         with ``event_indices``).
         """
+        if self._table is None:
+            self._table = feature_table(tuple(self.event_indices.tolist()),
+                                        self._units)
+        ids, frontier = self._table
         signals = np.asarray(signals, dtype=np.float64)
         deltas = np.asarray(deltas, dtype=np.float64)
-        features: set[int] = set()
 
         # Unit frontier: which units does this gadget exercise at all?
-        active_units = {self._unit_of[s] for s in np.flatnonzero(signals)}
-        for unit in active_units:
-            features.add(feature_id(FRONTIER_EVENT, unit, 0))
+        found = [frontier[self._unit_index[signals != 0.0]]]
 
         # Noise-free expected response carries the sign (weights may be
         # negative); measured deltas decide *whether* an event responded,
-        # with exact parity to campaign screening.
+        # with exact parity to campaign screening.  Each responding
+        # event contributes one feature per unit its weighted signal
+        # touches.
         expected = self.weights @ signals
         responding = np.flatnonzero(deltas > self.thresholds)
-        responses = []
-        for j in responding:
-            event = int(self.event_indices[j])
-            responses.append((event, float(deltas[j])))
-            sign = 1 if expected[j] >= 0.0 else -1
-            bucket = sign * _magnitude_bucket(float(deltas[j]),
-                                              float(self.thresholds[j]))
-            touched = np.flatnonzero(self.weights[j] * signals)
-            for s in touched:
-                features.add(feature_id(event, self._unit_of[s], bucket))
+        if responding.size:
+            sign = np.where(expected[responding] >= 0.0, 1, -1)
+            buckets = sign * _magnitude_buckets(deltas[responding],
+                                                self.thresholds[responding])
+            rows, touched = np.nonzero(self.weights[responding] * signals)
+            found.append(ids[responding[rows], self._unit_index[touched],
+                             buckets[rows] + BUCKET_OFFSET])
 
         near_mask = ((deltas <= self.thresholds)
                      & (np.abs(expected) > NEAR_MISS_FRACTION
                         * np.maximum(self.thresholds, 1e-12)))
-        near = tuple(int(self.event_indices[j])
-                     for j in np.flatnonzero(near_mask))
-        return CoverageSample(features=tuple(sorted(features)),
-                              responses=tuple(responses), near=near)
+        return CoverageSample(
+            features=tuple(np.unique(np.concatenate(found)).tolist()),
+            responses=tuple(zip(self.event_indices[responding].tolist(),
+                                deltas[responding].tolist())),
+            near=tuple(self.event_indices[near_mask].tolist()))
 
 
 class CoverageMap:

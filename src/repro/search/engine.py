@@ -136,6 +136,30 @@ def mutation_stream(entropy: int, round_index: int, parent_digest: str,
                          child)
 
 
+#: Per-process ``(cleanup report, name index, mutator)`` keyed on
+#: ``(microarch, max_sequence_length)``; see :func:`_legal_tools`.
+_LEGAL_TOOLS: dict[tuple[str, int], tuple] = {}
+
+
+def _legal_tools(microarch: str, max_sequence_length: int
+                 ) -> "tuple[list, dict, GadgetMutator]":
+    """The legal list, its name index and a mutator over it.
+
+    Built once per cleaned legal list and process, not once per chunk
+    or round: all three are read-only, and a rebuilt cleanup (a new
+    report object) rebuilds them.
+    """
+    report = default_cleanup(microarch)
+    key = (microarch, max_sequence_length)
+    cached = _LEGAL_TOOLS.get(key)
+    if cached is None or cached[0] is not report:
+        cached = (report, build_name_index(report.legal),
+                  GadgetMutator(report.legal,
+                                max_sequence_length=max_sequence_length))
+        _LEGAL_TOOLS[key] = cached
+    return report.legal, cached[1], cached[2]
+
+
 def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
     """Evaluate one chunk of search tasks.  Pure in (config, tasks, cold).
 
@@ -143,54 +167,76 @@ def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
     its own RNG stream, a reset-then-warmed core, and a batched
     screening measurement, so the outcome is identical no matter which
     process evaluates the chunk.
+
+    The chunk runs as three passes under ``search.chunk``, one span
+    each: ``search.mutate`` builds every task's gadget,
+    ``search.measure`` screens them in task order and
+    ``search.extract`` turns the measurements into coverage.  Every
+    task owns its stream, so building all gadgets first draws exactly
+    what an interleaved loop draws, and the archetype memo sees the
+    same measurement order.
     """
-    legal = default_cleanup(config.microarch).legal
-    by_name = build_name_index(legal)
-    core = Core(config.processor_model, rng=0)
-    harness = ExecutionHarness(core, unroll=config.unroll, rng=0)
-    # Archetype memo scoped to one chunk, exactly as screening scopes
-    # it to one shard: measurements become a pure function of the
-    # chunk, invariant to worker count and process history.
-    batch.clear_memo()
-    grammar = GadgetGrammar(legal, sequence_length=config.sequence_length,
-                            empty_reset_prob=config.empty_reset_prob, rng=0)
-    mutator = GadgetMutator(legal,
-                            max_sequence_length=config.max_sequence_length)
-    extractor = CoverageExtractor(core.catalog, config.event_indices,
-                                  config.thresholds)
-    cold_specs = tuple(by_name[name] for name in cold if name in by_name)
-    events = np.asarray(config.event_indices, dtype=int)
-    outcomes = []
-    for task in tasks:
-        if task.kind == "sample":
-            stream = gadget_stream(config.entropy, task.sample_index)
-            gadget = grammar.sample(rng=stream)
-        elif task.kind == "probe":
-            gadget = Gadget(
-                reset=tuple(by_name[n] for n in task.parent_reset),
-                trigger=tuple(by_name[n] for n in task.parent_trigger))
-            stream = derive_stream(config.entropy, "probe",
-                                   task.parent_trigger[0])
-        else:
-            parent = Gadget(
-                reset=tuple(by_name[n] for n in task.parent_reset),
-                trigger=tuple(by_name[n] for n in task.parent_trigger))
-            stream = mutation_stream(config.entropy, task.round_index,
-                                     task.parent_digest, task.child)
-            gadget = mutator.mutate(parent, stream, cold=cold_specs)
-        core.reset_microarch_state()
-        harness.warm_measurement_state()
-        harness.set_rng(stream)
-        measured = harness.screen_measure(gadget, events)
-        sample = extractor.extract(measured.signals, measured.deltas)
-        reset = tuple(s.name for s in gadget.reset)
-        trigger = tuple(s.name for s in gadget.trigger)
-        outcomes.append(SearchOutcome(
-            eval_index=task.eval_index, kind=task.kind,
-            parent_digest=task.parent_digest, reset=reset, trigger=trigger,
-            digest=gadget_digest(reset, trigger),
-            features=sample.features, responses=sample.responses,
-            near=sample.near))
+    tracer = telemetry.tracer()
+    with tracer.span("search.chunk", tasks=len(tasks)):
+        legal, by_name, mutator = _legal_tools(config.microarch,
+                                               config.max_sequence_length)
+        core = Core(config.processor_model, rng=0)
+        harness = ExecutionHarness(core, unroll=config.unroll, rng=0)
+        # Archetype memo scoped to one chunk, exactly as screening
+        # scopes it to one shard: measurements become a pure function
+        # of the chunk, invariant to worker count and process history.
+        batch.clear_memo()
+        grammar = GadgetGrammar(legal,
+                                sequence_length=config.sequence_length,
+                                empty_reset_prob=config.empty_reset_prob,
+                                rng=0)
+        extractor = CoverageExtractor(core.catalog, config.event_indices,
+                                      config.thresholds)
+        cold_specs = tuple(by_name[name] for name in cold if name in by_name)
+        events = np.asarray(config.event_indices, dtype=int)
+
+        def materialize(reset, trigger) -> Gadget:
+            return Gadget(reset=tuple(by_name[n] for n in reset),
+                          trigger=tuple(by_name[n] for n in trigger))
+
+        with tracer.span("search.mutate"):
+            planned = []
+            for task in tasks:
+                if task.kind == "sample":
+                    stream = gadget_stream(config.entropy, task.sample_index)
+                    gadget = grammar.sample(rng=stream)
+                elif task.kind == "probe":
+                    gadget = materialize(task.parent_reset,
+                                         task.parent_trigger)
+                    stream = derive_stream(config.entropy, "probe",
+                                           task.parent_trigger[0])
+                else:
+                    stream = mutation_stream(config.entropy,
+                                             task.round_index,
+                                             task.parent_digest, task.child)
+                    gadget = mutator.mutate(
+                        materialize(task.parent_reset, task.parent_trigger),
+                        stream, cold=cold_specs)
+                planned.append((gadget, stream))
+        with tracer.span("search.measure"):
+            measured = []
+            for gadget, stream in planned:
+                core.reset_microarch_state()
+                harness.warm_measurement_state()
+                harness.set_rng(stream)
+                measured.append(harness.screen_measure(gadget, events))
+        with tracer.span("search.extract"):
+            outcomes = []
+            for task, (gadget, _), measure in zip(tasks, planned, measured):
+                sample = extractor.extract(measure.signals, measure.deltas)
+                reset = tuple(s.name for s in gadget.reset)
+                trigger = tuple(s.name for s in gadget.trigger)
+                outcomes.append(SearchOutcome(
+                    eval_index=task.eval_index, kind=task.kind,
+                    parent_digest=task.parent_digest, reset=reset,
+                    trigger=trigger, digest=gadget_digest(reset, trigger),
+                    features=sample.features, responses=sample.responses,
+                    near=sample.near))
     return outcomes
 
 
@@ -312,6 +358,7 @@ class CoverageSearch:
 
         self._legal = None
         self._by_name = None
+        self._sorted_names: tuple[str, ...] = ()
         self._harness = None
         self._core = None
         self._extractor = None
@@ -333,8 +380,9 @@ class CoverageSearch:
     def _ensure_local(self) -> None:
         if self._harness is not None:
             return
-        self._legal = default_cleanup(self.config.microarch).legal
-        self._by_name = build_name_index(self._legal)
+        self._legal, self._by_name, _ = _legal_tools(
+            self.config.microarch, self.config.max_sequence_length)
+        self._sorted_names = tuple(sorted(self._by_name))
         self._core = Core(self.config.processor_model, rng=0)
         self._harness = ExecutionHarness(self._core,
                                          unroll=self.config.unroll, rng=0)
@@ -368,8 +416,8 @@ class CoverageSearch:
     def _plan_round(self, remaining: int) -> "tuple[list, tuple]":
         """Plan one round of tasks plus the round's cold-instruction pool."""
         self._ensure_local()
-        cold = tuple(sorted(
-            name for name in self._by_name if name not in self._tried))
+        cold = tuple(name for name in self._sorted_names
+                     if name not in self._tried)
         tasks: list[SearchTask] = []
 
         def sample_task() -> SearchTask:
@@ -527,7 +575,8 @@ class CoverageSearch:
                 gadget = Gadget(
                     reset=tuple(self._by_name[n] for n in reset),
                     trigger=tuple(self._by_name[n] for n in trigger))
-                shrunk = self._minimize_entry(gadget, set(new))
+                with telemetry.tracer().span("search.minimize"):
+                    shrunk = self._minimize_entry(gadget, set(new))
                 if shrunk is not None:
                     gadget, sample = shrunk
                     reset = tuple(s.name for s in gadget.reset)
@@ -660,28 +709,33 @@ class CoverageSearch:
         if self.resume:
             self._load_checkpoint()
         registry = telemetry.metrics()
+        tracer = telemetry.tracer()
         supervisor = ShardSupervisor(
             fn=run_task, args=self._chunk_args,
             on_result=lambda outcomes: self._round_outcomes.extend(outcomes),
             empty_result=lambda shard: [], policy=self.policy,
             workers=self.workers)
         self.report = supervisor.report
-        with supervisor, telemetry.tracer().span("search.run",
-                                                 max_evals=self.max_evals,
-                                                 workers=self.workers):
+        with supervisor, tracer.span("search.run",
+                                     max_evals=self.max_evals,
+                                     workers=self.workers):
             while (self._eval_cursor < self.max_evals
                    and not self._target_reached()):
                 remaining = self.max_evals - self._eval_cursor
-                tasks, cold = self._plan_round(remaining)
+                with tracer.span("search.plan", round=self._round):
+                    tasks, cold = self._plan_round(remaining)
                 if not tasks:
                     break
                 self._eval_cursor += len(tasks)
                 # A quarantined task contributes no outcome.
                 self._round_plan, self._round_outcomes = (tasks, cold), []
-                supervisor.run(plan_shards(len(tasks),
-                                           self.config.chunk_size))
-                self._reduce(sorted(self._round_outcomes,
-                                    key=lambda o: o.eval_index))
+                with tracer.span("search.evaluate", round=self._round,
+                                 tasks=len(tasks)):
+                    supervisor.run(plan_shards(len(tasks),
+                                               self.config.chunk_size))
+                with tracer.span("search.reduce", round=self._round):
+                    self._reduce(sorted(self._round_outcomes,
+                                        key=lambda o: o.eval_index))
                 self._round += 1
                 if registry.enabled:
                     registry.counter("search.evals").inc(len(tasks))

@@ -43,8 +43,12 @@ class GadgetMutator:
             raise ValueError("max_sequence_length must be >= 1")
         self.max_sequence_length = max_sequence_length
         by_extension: dict = {}
+        #: Each variant's position in its extension's pool.
+        self._position: dict[str, int] = {}
         for spec in self.legal:
-            by_extension.setdefault(spec.extension, []).append(spec)
+            pool = by_extension.setdefault(spec.extension, [])
+            self._position[spec.name] = len(pool)
+            pool.append(spec)
         self._by_extension = {ext: tuple(specs)
                               for ext, specs in by_extension.items()}
 
@@ -97,12 +101,17 @@ class GadgetMutator:
         side, offset = ((reset, index) if index < len(reset)
                         else (trigger, index - len(reset)))
         current = side[offset]
-        group = [spec for spec in self._by_extension[current.extension]
-                 if spec.name != current.name]
-        if not group:
+        # A uniform draw from the extension's pool without ``current``
+        # (a legal variant: names are unique), made without building
+        # that list: draw over one fewer and step over its position.
+        pool = self._by_extension[current.extension]
+        if len(pool) == 1:
             self._swap(reset, trigger, rng, cold)
             return
-        side[offset] = group[int(rng.integers(len(group)))]
+        pick = int(rng.integers(len(pool) - 1))
+        if pick >= self._position[current.name]:
+            pick += 1
+        side[offset] = pool[pick]
 
     def _splice(self, reset: list, trigger: list, rng, cold) -> None:
         """Exchange reset and trigger roles, or split a long trigger."""

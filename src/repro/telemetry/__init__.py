@@ -13,7 +13,8 @@ Four layers, all cheap enough to leave compiled into hot paths:
 - :mod:`repro.telemetry.aggregate` — campaign workers emit per-shard
   telemetry files that the parent merges deterministically into one
   ``trace.jsonl`` + ``metrics.json`` run report, rendered by
-  :mod:`repro.telemetry.render`.
+  :mod:`repro.telemetry.render` (imported on first use of
+  ``render_run`` / ``render_trace_dir``).
 
 Library code uses the process-global accessors::
 
@@ -54,7 +55,6 @@ from repro.telemetry.metrics import (
     read_snapshot,
     resolve_bounds,
 )
-from repro.telemetry.render import render_run, render_trace_dir
 from repro.telemetry.runtime import (
     TelemetryRuntime,
     active,
@@ -75,6 +75,19 @@ from repro.telemetry.spans import (
     Tracer,
     read_spans,
 )
+
+#: Names served by :mod:`repro.telemetry.render`, imported on first
+#: use: only ``report --trace`` renders, and the renderer pulls in
+#: :mod:`repro.analysis`.
+_LAZY_RENDER = ("render_run", "render_trace_dir")
+
+
+def __getattr__(name: str):
+    if name in _LAZY_RENDER:
+        from repro.telemetry import render
+        return getattr(render, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BUCKET_PRESETS",

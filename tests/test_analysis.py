@@ -62,6 +62,32 @@ class TestStats:
         assert normal_w > 0.99
         assert heavy_w < normal_w
 
+    def test_qq_points_pinned(self):
+        """Values the scipy-based ``qq_points`` produced, to ~1e-16:
+        the stdlib inverse normal CDF differs only in the last bits."""
+        theoretical, sample = qq_points(
+            np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]))
+        np.testing.assert_allclose(theoretical, [
+            -1.5341205443525463, -0.887146559018876, -0.4887764111146695,
+            -0.1573106846101707, 0.1573106846101707, 0.4887764111146695,
+            0.887146559018876, 1.5341205443525463], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sample, [
+            -1.118298268150525, -1.118298268150525, -0.7293249574894728,
+            -0.3403516468284206, 0.048621663832631515, 0.4375949744936836,
+            0.8265682851547358, 1.9934882171378923], rtol=1e-12, atol=0)
+        theoretical, _ = qq_points(np.arange(1000.0))
+        np.testing.assert_allclose(theoretical[[0, 1, 499, 998, 999]], [
+            -3.2905267314918945, -2.9677379253417833,
+            -0.0012533144654325557, 2.9677379253417944,
+            3.2905267314919255], rtol=1e-12, atol=0)
+
+    def test_shapiro_francia_pinned(self):
+        rng = np.random.default_rng(0)
+        assert shapiro_francia_w(rng.normal(size=200)) \
+            == pytest.approx(0.9907862535488879, rel=1e-12)
+        assert shapiro_francia_w(rng.exponential(size=200)) \
+            == pytest.approx(0.7786678007427854, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gaussian_fit(np.array([1.0]))

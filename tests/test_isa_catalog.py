@@ -1,11 +1,15 @@
 """Tests for the machine-readable ISA catalog."""
 
+import pickle
+from dataclasses import fields
+
 import pytest
 
 from repro.isa import (
     Extension,
     InstructionCategory,
     InstructionClass,
+    InstructionSpec,
     OperandForm,
     build_catalog,
 )
@@ -65,6 +69,30 @@ class TestInstructionSpec:
     def test_name_includes_operand_form(self, isa_catalog):
         spec = isa_catalog.get("ADD r64,r64")
         assert spec.operand_form is OperandForm.R64_R64
+
+    def test_cached_attributes_leave_identity_unchanged(self, isa_catalog):
+        """``name``/``reads_memory``/``writes_memory`` are computed once
+        and cached on the instance; equality, hashing and the pickled
+        bytes must not depend on whether the cache is populated."""
+        names = ("ADD r64,r64", "MOV r64,m64", "MOV m64,r64", "CPUID",
+                 "CLFLUSH m8")
+        for name in names:
+            spec = isa_catalog.get(name)
+            fresh = InstructionSpec(*(getattr(spec, f.name)
+                                      for f in fields(InstructionSpec)))
+            cold_bytes = pickle.dumps(fresh)
+            assert (spec.name, spec.reads_memory, spec.writes_memory) \
+                == (fresh.name, fresh.reads_memory, fresh.writes_memory)
+            assert "name" in vars(spec) and "reads_memory" in vars(fresh)
+            assert spec == fresh and hash(spec) == hash(fresh)
+            assert hash(fresh) == hash(tuple(getattr(fresh, f.name)
+                                             for f in fields(fresh)))
+            assert pickle.dumps(fresh) == cold_bytes
+            assert pickle.dumps(spec) == cold_bytes
+            restored = pickle.loads(cold_bytes)
+            assert restored == spec and hash(restored) == hash(spec)
+            assert set(vars(restored)) == {f.name for f in fields(spec)}
+            assert restored.name == name
 
     def test_class_semantics(self, isa_catalog):
         assert isa_catalog.get("CPUID").iclass is InstructionClass.SERIALIZE

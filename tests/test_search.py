@@ -344,6 +344,84 @@ class TestCoverageSearch:
             CoverageSearch(search_config, max_evals=10, workers=0)
 
 
+class TestSearchTrace:
+    """Search spans: the same structure at any worker count, and a
+    ``search.run`` its children account for."""
+
+    PARENT_SPANS = ("search.plan", "search.evaluate", "search.reduce")
+    CHUNK_SPANS = ("search.chunk", "search.mutate", "search.measure",
+                   "search.extract")
+
+    @pytest.fixture(scope="class")
+    def traced(self, search_config, tmp_path_factory):
+        runs = {}
+        for workers in (1, 2):
+            trace_dir = tmp_path_factory.mktemp(f"search-trace-{workers}")
+            with telemetry.session(trace_dir=trace_dir):
+                result = CoverageSearch(search_config, max_evals=MAX_EVALS,
+                                        workers=workers).run()
+            runs[workers] = (result, merge_run(trace_dir, write=False))
+        return runs
+
+    def test_span_structure_invariant_to_workers(self, traced):
+        (result, one), (_, two) = traced[1], traced[2]
+        counts = one.span_counts()
+        assert counts == two.span_counts()
+        assert counts["search.run"] == 1
+        for name in self.PARENT_SPANS:
+            assert counts[name] == result.rounds
+        chunks = counts["search.chunk"]
+        assert chunks >= result.rounds
+        assert all(counts[name] == chunks for name in self.CHUNK_SPANS)
+        assert counts["search.minimize"] > 0
+
+        def shape(run):
+            return [(s.process, s.span_id, s.parent_id, s.name)
+                    for s in run.spans]
+        assert shape(one) == shape(two)
+
+    def test_children_cover_search_run(self, traced):
+        for _, run in traced.values():
+            (root,) = [s for s in run.spans if s.name == "search.run"]
+            children = [s for s in run.spans
+                        if s.process == root.process
+                        and s.parent_id == root.span_id]
+            assert {s.name for s in children} == set(self.PARENT_SPANS)
+            covered = sum(s.duration_s for s in children)
+            assert covered >= 0.9 * root.duration_s
+
+
+class TestDigestPin:
+    """``repro-aegis search --seed 7 --budget 300`` over every
+    guest-sensitive AMD event, pinned across commits.  CI's
+    search-smoke legs compare worker counts within one commit; these
+    values were recorded with the per-feature hashing extractor and
+    uncached spec names, so they also hold the search to its earlier
+    behaviour."""
+
+    DIGESTS = {
+        "corpus_replay_digest":
+            "0bcafc3d938d4003aa99cee0038a699d"
+            "4222aec806b888db9fa45cb844a7a68f",
+        "coverage_digest":
+            "cdee3e80fa91c10e582eb8cf3085d8c1"
+            "0447c253b2ee6ec600c45df7ddf03d83",
+        "evals": 320,
+        "corpus_size": 58,
+        "coverage_features": 258,
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_digests_match_recorded(self, workers, tmp_path):
+        from repro.cli import main
+        out = tmp_path / "digests.json"
+        assert main(["search", "--seed", "7", "--budget", "300",
+                     "--workers", str(workers), "--digest-out", str(out),
+                     "-q"]) == 0
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert {key: payload[key] for key in self.DIGESTS} == self.DIGESTS
+
+
 class TestSearchChaos:
     """``search.corpus.write`` and ``search.chunk`` faults: results
     never change."""

@@ -11,6 +11,7 @@ construction.
 
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,28 @@ class TestDeterminism:
             remote = list(pool.map(_mutate_names_in_subprocess,
                                    *zip(*cases)))
         assert local == remote
+
+
+class TestSubstitute:
+    def test_draws_match_the_filtered_list(self):
+        """``_substitute`` picks what indexing the filtered extension
+        list (every same-extension variant but the current one) with the
+        same draw picked, for every extension and both pool ends."""
+        by_extension: dict = {}
+        for spec in LEGAL:
+            by_extension.setdefault(spec.extension, []).append(spec)
+        cases = [spec for pool in by_extension.values()
+                 for spec in (pool[0], pool[len(pool) // 2], pool[-1])]
+        for case, current in enumerate(cases):
+            group = [spec for spec in by_extension[current.extension]
+                     if spec.name != current.name]
+            for seed in range(8):
+                trigger = [current]
+                MUTATOR._substitute([], trigger, np.random.default_rng(
+                    (case, seed)), ())
+                rng = np.random.default_rng((case, seed))
+                rng.integers(1)  # the position draw
+                assert trigger == [group[int(rng.integers(len(group)))]]
 
 
 class TestLegality:
