@@ -154,9 +154,13 @@ class Cache:
                      for i in sorted(self._occupied) if self._sets[i])
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessOutcome:
-    """Which levels an access hit/missed and whether memory was reached."""
+    """Which levels an access hit/missed and whether memory was reached.
+
+    An access has four possible outcomes; the hierarchy returns the
+    shared instances below rather than building one per access.
+    """
 
     l1_hit: bool
     l2_hit: bool
@@ -166,6 +170,12 @@ class AccessOutcome:
     @property
     def l1_miss(self) -> bool:
         return not self.l1_hit
+
+
+_L1_HIT = AccessOutcome(True, True, True, False)
+_L2_HIT = AccessOutcome(False, True, True, False)
+_LLC_HIT = AccessOutcome(False, False, True, False)
+_MEMORY = AccessOutcome(False, False, False, True)
 
 
 class CacheHierarchy:
@@ -187,12 +197,12 @@ class CacheHierarchy:
     def access(self, address: int, write: bool = False) -> AccessOutcome:
         """Access ``address`` through the hierarchy."""
         if self.l1.access(address, write):
-            return AccessOutcome(True, True, True, False)
+            return _L1_HIT
         if self.l2.access(address, write):
-            return AccessOutcome(False, True, True, False)
+            return _L2_HIT
         if self.llc.access(address, write):
-            return AccessOutcome(False, False, True, False)
-        return AccessOutcome(False, False, False, True)
+            return _LLC_HIT
+        return _MEMORY
 
     def flush(self, address: int) -> None:
         """CLFLUSH: evict the line from every level."""

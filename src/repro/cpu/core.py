@@ -28,9 +28,10 @@ from repro.cpu.interrupts import InterruptSource
 from repro.cpu.memory import MemoryMap, Page
 from repro.cpu.pipeline import Pipeline, PipelinePenalties
 from repro.cpu.prefetch import StridePrefetcher
-from repro.cpu.signals import NUM_SIGNALS, Signal, zero_signals
+from repro.cpu.signals import NUM_SIGNALS, Signal
 from repro.cpu.tlb import Tlb
-from repro.isa.spec import Instruction, InstructionClass, Program
+from repro.isa.spec import (Instruction, InstructionClass,
+                            InstructionSpec, Program)
 from repro.utils.clock import SimClock
 from repro.utils.rng import ensure_rng
 
@@ -122,38 +123,81 @@ class Core:
         Faulting system instructions (already removed by the cleanup
         step in normal fuzzing flows) terminate execution with
         ``faulted=True``.
+
+        Signals accumulate as Python ints and become one float64 vector
+        at the end (every increment is a small integer, so that is
+        exact).  Each spec dispatches through its cached
+        ``(handler, uops, issue cycles)`` entry.  The pipeline's retire
+        counters and the ITLB/memory stalls advance once per program,
+        also when it faults or a handler raises; mispredict and
+        serializing stalls are charged by their handlers.
         """
         self._pristine = False
         self._canonical = False
-        signals = zero_signals()
-        cycles = 0
+        counts = [0] * NUM_SIGNALS
+        cycles = stalls = uops = retired = 0
         rdpmc_values: list[int] = []
-        penalties = self.pipeline.penalties
-        for instruction in program.instructions:
-            spec = instruction.spec
-            # Instruction fetch: ITLB translation on the code address.
-            if not self.itlb.access(instruction.address):
-                signals[Signal.ITLB_MISS] += 1
-                cycles += self.pipeline.stall(penalties.tlb_miss)
-            signals[Signal.INSTRUCTIONS] += 1
-            signals[Signal.UOPS] += spec.uops
-            cycles += self.pipeline.issue(spec.uops, spec.latency)
-            handler = _CLASS_HANDLERS.get(spec.iclass, _execute_simple)
-            fault = handler(self, instruction, signals)
-            if fault:
-                return ExecutionResult(signals=signals, cycles=cycles,
-                                       rdpmc_values=rdpmc_values,
-                                       faulted=True, fault_name=fault)
-            cycles += self._charge_memory_stalls(signals)
-            if spec.iclass is InstructionClass.RDPMC:
-                slots = self.hpc.programmed_slots()
-                if slots:
-                    # Counters observe everything retired so far.
-                    rdpmc_values.extend(
-                        self.hpc.rdpmc(slot) for slot in slots)
+        pipeline = self.pipeline
+        penalties = pipeline.penalties
+        tlb_miss = penalties.tlb_miss
+        l1_miss, l2_miss, llc_miss = (penalties.l1_miss, penalties.l2_miss,
+                                      penalties.llc_miss)
+        itlb_access = self.itlb.access
+        table = _DISPATCH.setdefault(pipeline.dispatch_width, {})
+        fault = ""
+        try:
+            for instruction in program.instructions:
+                # Instruction fetch: ITLB translation on the code address.
+                if not itlb_access(instruction.address):
+                    counts[_ITLB_MISS] += 1
+                    cycles += tlb_miss
+                    stalls += tlb_miss
+                spec = instruction.spec
+                entry = table.get(id(spec))
+                if entry is None:
+                    entry = _dispatch_entry(table, spec,
+                                            pipeline.dispatch_width)
+                _, handler, spec_uops, issue = entry
+                uops += spec_uops
+                retired += 1
+                cycles += issue
+                fault = handler(self, instruction, counts)
+                if fault:
+                    break
+                outcome = self._last_outcome
+                if outcome is not None:
+                    # Stall for the instruction's last data access.
+                    self._last_outcome = None
+                    if outcome.memory_access:
+                        stall = llc_miss
+                    elif not outcome.l2_hit:
+                        stall = l2_miss
+                    elif not outcome.l1_hit:
+                        stall = l1_miss
+                    else:
+                        stall = 0
+                    cycles += stall
+                    stalls += stall
+                if handler is _execute_rdpmc:
+                    slots = self.hpc.programmed_slots()
+                    if slots:
+                        # Counters observe everything retired so far.
+                        rdpmc_values.extend(
+                            self.hpc.rdpmc(slot) for slot in slots)
+        finally:
+            pipeline.retired_uops += uops
+            pipeline.retired_instructions += retired
+            pipeline.stall_cycles += stalls
+        counts[_INSTRUCTIONS] += retired
+        counts[_UOPS] += uops
+        signals = np.array(counts, dtype=np.float64)
+        if fault:
+            return ExecutionResult(signals=signals, cycles=cycles,
+                                   rdpmc_values=rdpmc_values,
+                                   faulted=True, fault_name=fault)
         if update_hpc:
             self.hpc.accumulate(signals)
-        signals[Signal.CYCLES] += cycles
+        signals[_CYCLES] += cycles
         self.clock.advance(cycles)
         return ExecutionResult(signals=signals, cycles=cycles,
                                rdpmc_values=rdpmc_values)
@@ -192,24 +236,9 @@ class Core:
         obs.slo.observe("batch.execute", time.perf_counter() - start)
         return results
 
-    def _charge_memory_stalls(self, signals: np.ndarray) -> int:
-        """Stall cycles implied by the most recent access outcome."""
-        outcome = self._last_outcome
-        self._last_outcome = None
-        if outcome is None:
-            return 0
-        penalties = self.pipeline.penalties
-        if outcome.memory_access:
-            return self.pipeline.stall(penalties.llc_miss)
-        if not outcome.l2_hit:
-            return self.pipeline.stall(penalties.l2_miss)
-        if not outcome.l1_hit:
-            return self.pipeline.stall(penalties.l1_miss)
-        return 0
-
     _last_outcome = None
 
-    def _data_access(self, address: int, signals: np.ndarray,
+    def _data_access(self, address: int, counts: list,
                      write: bool, pc: int = 0) -> None:
         """Shared load/store path: TLB, hierarchy, signal accounting.
 
@@ -221,27 +250,26 @@ class Core:
         if write:
             self.memory.check_write(address)
         if not self.dtlb.access(address):
-            signals[Signal.DTLB_MISS] += 1
-        outcome = self.caches.access(address, write=write)
+            counts[_DTLB_MISS] += 1
+        outcome = self.caches.access(address, write)
         self._last_outcome = outcome
-        signals[Signal.L1D_ACCESS] += 1
-        if outcome.l1_miss:
-            signals[Signal.L1D_MISS] += 1
-            signals[Signal.MAB_ALLOC] += 1
-            signals[Signal.L2_ACCESS] += 1
-        if not outcome.l2_hit:
-            signals[Signal.L2_MISS] += 1
-            signals[Signal.LLC_ACCESS] += 1
-        if outcome.memory_access:
-            signals[Signal.LLC_MISS] += 1
-            signals[Signal.MEM_READS] += 1
+        counts[_L1D_ACCESS] += 1
+        if not outcome.l1_hit:
+            counts[_L1D_MISS] += 1
+            counts[_MAB_ALLOC] += 1
+            counts[_L2_ACCESS] += 1
+            if not outcome.l2_hit:
+                counts[_L2_MISS] += 1
+                counts[_LLC_ACCESS] += 1
+                if outcome.memory_access:
+                    counts[_LLC_MISS] += 1
+                    counts[_MEM_READS] += 1
         if pc:
             for target in self.prefetcher.observe(pc, address):
-                pf_outcome = self.caches.access(target, write=False)
-                signals[Signal.PREFETCHES] += 1
-                if pf_outcome.memory_access:
-                    signals[Signal.MAB_ALLOC] += 1
-                    signals[Signal.MEM_READS] += 1
+                counts[_PREFETCHES] += 1
+                if self.caches.access(target, False).memory_access:
+                    counts[_MAB_ALLOC] += 1
+                    counts[_MEM_READS] += 1
 
     # ----------------- aggregate block path ------------------------
 
@@ -312,165 +340,191 @@ class Core:
         self.clock.advance(self.pipeline.penalties.serialize)
 
 
-def _execute_simple(core: Core, instruction: Instruction,
-                    signals: np.ndarray) -> str:
-    spec = instruction.spec
+# Signal indices as plain ints: the handlers below index a Python list.
+_CYCLES = int(Signal.CYCLES)
+_INSTRUCTIONS = int(Signal.INSTRUCTIONS)
+_UOPS = int(Signal.UOPS)
+_LOADS = int(Signal.LOADS)
+_STORES = int(Signal.STORES)
+_L1D_ACCESS = int(Signal.L1D_ACCESS)
+_L1D_MISS = int(Signal.L1D_MISS)
+_L2_ACCESS = int(Signal.L2_ACCESS)
+_L2_MISS = int(Signal.L2_MISS)
+_LLC_ACCESS = int(Signal.LLC_ACCESS)
+_LLC_MISS = int(Signal.LLC_MISS)
+_MEM_READS = int(Signal.MEM_READS)
+_MEM_WRITES = int(Signal.MEM_WRITES)
+_BRANCHES = int(Signal.BRANCHES)
+_BRANCH_MISS = int(Signal.BRANCH_MISS)
+_COND_BRANCHES = int(Signal.COND_BRANCHES)
+_CALLS = int(Signal.CALLS)
+_RETURNS = int(Signal.RETURNS)
+_ITLB_MISS = int(Signal.ITLB_MISS)
+_DTLB_MISS = int(Signal.DTLB_MISS)
+_TLB_FLUSHES = int(Signal.TLB_FLUSHES)
+_STACK_OPS = int(Signal.STACK_OPS)
+_PREFETCHES = int(Signal.PREFETCHES)
+_CACHE_FLUSHES = int(Signal.CACHE_FLUSHES)
+_SERIALIZING = int(Signal.SERIALIZING)
+_MAB_ALLOC = int(Signal.MAB_ALLOC)
+
+
+def _simple_handler(spec: InstructionSpec):
+    """The handler of a class without its own: the class signal, then
+    the memory operand's read and/or write, bound to ``spec``."""
     sig = _SIMPLE_SIGNALS.get(spec.iclass)
-    if sig is not None:
-        signals[sig] += 1
-    if spec.reads_memory:
-        core._data_access(instruction.mem_operand or core.data_page.base,
-                          signals, write=False, pc=instruction.address)
-        signals[Signal.LOADS] += 1
-    if spec.writes_memory:
-        core._data_access(instruction.mem_operand or core.data_page.base,
-                          signals, write=True, pc=instruction.address)
-        signals[Signal.STORES] += 1
-    return ""
+    sig = None if sig is None else int(sig)
+    reads, writes = spec.reads_memory, spec.writes_memory
+
+    def execute(core: Core, instruction: Instruction, counts: list) -> str:
+        if sig is not None:
+            counts[sig] += 1
+        if reads:
+            core._data_access(instruction.mem_operand or core.data_page.base,
+                              counts, False, instruction.address)
+            counts[_LOADS] += 1
+        if writes:
+            core._data_access(instruction.mem_operand or core.data_page.base,
+                              counts, True, instruction.address)
+            counts[_STORES] += 1
+        return ""
+
+    return execute
 
 
-def _execute_load(core: Core, instruction: Instruction,
-                  signals: np.ndarray) -> str:
-    signals[Signal.LOADS] += 1
+def _execute_load(core: Core, instruction: Instruction, counts: list) -> str:
+    counts[_LOADS] += 1
     core._data_access(instruction.mem_operand or core.data_page.base,
-                      signals, write=False, pc=instruction.address)
+                      counts, False, instruction.address)
     return ""
 
 
 def _execute_store(core: Core, instruction: Instruction,
-                   signals: np.ndarray) -> str:
-    signals[Signal.STORES] += 1
+                   counts: list) -> str:
+    counts[_STORES] += 1
     address = instruction.mem_operand or core.data_page.base
     try:
-        core._data_access(address, signals, write=True,
-                          pc=instruction.address)
+        core._data_access(address, counts, True, instruction.address)
     except PermissionError as exc:
         return f"#PF: {exc}"
     if instruction.spec.mnemonic.startswith("MOVNT"):
         # Non-temporal stores bypass the hierarchy and write to memory.
-        signals[Signal.MEM_WRITES] += 1
+        counts[_MEM_WRITES] += 1
     return ""
 
 
 def _execute_branch(core: Core, instruction: Instruction,
-                    signals: np.ndarray) -> str:
-    spec = instruction.spec
-    signals[Signal.BRANCHES] += 1
-    if spec.iclass is InstructionClass.BRANCH_COND:
-        signals[Signal.COND_BRANCHES] += 1
+                    counts: list) -> str:
+    counts[_BRANCHES] += 1
+    if instruction.spec.iclass is InstructionClass.BRANCH_COND:
+        counts[_COND_BRANCHES] += 1
         taken = instruction.taken
     else:
         taken = True
-    mispredicted = core.branch_predictor.update(instruction.address, taken)
-    if mispredicted:
-        signals[Signal.BRANCH_MISS] += 1
+    if core.branch_predictor.update(instruction.address, taken):
+        counts[_BRANCH_MISS] += 1
         core.pipeline.stall(core.pipeline.penalties.branch_mispredict)
     return ""
 
 
-def _execute_call(core: Core, instruction: Instruction,
-                  signals: np.ndarray) -> str:
-    signals[Signal.BRANCHES] += 1
-    signals[Signal.CALLS] += 1
-    signals[Signal.STACK_OPS] += 1
+def _execute_call(core: Core, instruction: Instruction, counts: list) -> str:
+    counts[_BRANCHES] += 1
+    counts[_CALLS] += 1
+    counts[_STACK_OPS] += 1
     core._stack_depth += 8
     address = core.stack_page.base + (core._stack_depth % core.stack_page.size)
-    core._data_access(address, signals, write=True)
-    signals[Signal.STORES] += 1
+    core._data_access(address, counts, True)
+    counts[_STORES] += 1
     core.branch_predictor.update(instruction.address, True)
     return ""
 
 
-def _execute_ret(core: Core, instruction: Instruction,
-                 signals: np.ndarray) -> str:
-    signals[Signal.BRANCHES] += 1
-    signals[Signal.RETURNS] += 1
-    signals[Signal.STACK_OPS] += 1
+def _execute_ret(core: Core, instruction: Instruction, counts: list) -> str:
+    counts[_BRANCHES] += 1
+    counts[_RETURNS] += 1
+    counts[_STACK_OPS] += 1
     address = core.stack_page.base + (core._stack_depth % core.stack_page.size)
     core._stack_depth = max(0, core._stack_depth - 8)
-    core._data_access(address, signals, write=False)
-    signals[Signal.LOADS] += 1
+    core._data_access(address, counts, False)
+    counts[_LOADS] += 1
     return ""
 
 
-def _execute_push(core: Core, instruction: Instruction,
-                  signals: np.ndarray) -> str:
-    signals[Signal.STACK_OPS] += 1
-    signals[Signal.STORES] += 1
+def _execute_push(core: Core, instruction: Instruction, counts: list) -> str:
+    counts[_STACK_OPS] += 1
+    counts[_STORES] += 1
     core._stack_depth += 8
     address = core.stack_page.base + (core._stack_depth % core.stack_page.size)
-    core._data_access(address, signals, write=True)
+    core._data_access(address, counts, True)
     return ""
 
 
-def _execute_pop(core: Core, instruction: Instruction,
-                 signals: np.ndarray) -> str:
-    signals[Signal.STACK_OPS] += 1
-    signals[Signal.LOADS] += 1
+def _execute_pop(core: Core, instruction: Instruction, counts: list) -> str:
+    counts[_STACK_OPS] += 1
+    counts[_LOADS] += 1
     address = core.stack_page.base + (core._stack_depth % core.stack_page.size)
     core._stack_depth = max(0, core._stack_depth - 8)
-    core._data_access(address, signals, write=False)
+    core._data_access(address, counts, False)
     return ""
 
 
 def _execute_clflush(core: Core, instruction: Instruction,
-                     signals: np.ndarray) -> str:
-    signals[Signal.CACHE_FLUSHES] += 1
+                     counts: list) -> str:
+    counts[_CACHE_FLUSHES] += 1
     core.caches.flush(instruction.mem_operand or core.data_page.base)
     return ""
 
 
 def _execute_prefetch(core: Core, instruction: Instruction,
-                      signals: np.ndarray) -> str:
-    signals[Signal.PREFETCHES] += 1
+                      counts: list) -> str:
+    counts[_PREFETCHES] += 1
     address = instruction.mem_operand or core.data_page.base
-    outcome = core.caches.access(address, write=False)
-    if outcome.memory_access:
-        signals[Signal.MEM_READS] += 1
-        signals[Signal.MAB_ALLOC] += 1
+    if core.caches.access(address, False).memory_access:
+        counts[_MEM_READS] += 1
+        counts[_MAB_ALLOC] += 1
     return ""
 
 
 def _execute_serialize(core: Core, instruction: Instruction,
-                       signals: np.ndarray) -> str:
-    signals[Signal.SERIALIZING] += 1
+                       counts: list) -> str:
+    counts[_SERIALIZING] += 1
     core.pipeline.stall(core.pipeline.penalties.serialize)
     return ""
 
 
 def _execute_tlb_flush(core: Core, instruction: Instruction,
-                       signals: np.ndarray) -> str:
-    signals[Signal.TLB_FLUSHES] += 1
+                       counts: list) -> str:
+    counts[_TLB_FLUSHES] += 1
     core.dtlb.flush()
     core.itlb.flush()
     return ""
 
 
 def _execute_string(core: Core, instruction: Instruction,
-                    signals: np.ndarray) -> str:
-    repeats = 8 if instruction.spec.mnemonic.startswith("REP") else 1
+                    counts: list) -> str:
+    mnemonic = instruction.spec.mnemonic
+    repeats = 8 if mnemonic.startswith("REP") else 1
+    writes = mnemonic.lstrip("REP ").startswith(("MOVS", "STOS"))
     base = instruction.mem_operand or core.data_page.base
+    pc = instruction.address
     for i in range(repeats):
         address = base + 8 * i
-        signals[Signal.LOADS] += 1
-        core._data_access(address, signals, write=False,
-                          pc=instruction.address)
-        if instruction.spec.mnemonic.lstrip("REP ").startswith(("MOVS", "STOS")):
-            signals[Signal.STORES] += 1
-            core._data_access(address + 64, signals, write=True,
-                              pc=instruction.address + 1)
+        counts[_LOADS] += 1
+        core._data_access(address, counts, False, pc)
+        if writes:
+            counts[_STORES] += 1
+            core._data_access(address + 64, counts, True, pc + 1)
     return ""
 
 
 def _execute_system(core: Core, instruction: Instruction,
-                    signals: np.ndarray) -> str:
+                    counts: list) -> str:
     return f"#GP: privileged instruction {instruction.spec.mnemonic}"
 
 
 def _execute_rdpmc(core: Core, instruction: Instruction,
-                   signals: np.ndarray) -> str:
-    signals[Signal.SERIALIZING] += 0.0  # reads are handled by the core loop
-    return ""
+                   counts: list) -> str:
+    return ""  # reads are handled by the core loop
 
 
 _SIMPLE_SIGNALS: dict[InstructionClass, Signal] = {
@@ -505,3 +559,20 @@ _CLASS_HANDLERS = {
     InstructionClass.SYSTEM: _execute_system,
     InstructionClass.RDPMC: _execute_rdpmc,
 }
+
+#: Per dispatch width: ``id(spec) -> (spec, handler, uops, issue
+#: cycles)``.  Catalog specs are process-wide singletons, and the entry
+#: holds its spec, so the id stays pinned.
+_DISPATCH: dict[int, dict[int, tuple]] = {}
+
+
+def _dispatch_entry(table: dict, spec: InstructionSpec,
+                    dispatch_width: int) -> tuple:
+    """Build and cache ``spec``'s entry; the issue cost is
+    :meth:`Pipeline.issue`'s, which also rejects ``uops < 1``."""
+    issue = Pipeline(dispatch_width).issue(spec.uops, spec.latency)
+    handler = _CLASS_HANDLERS.get(spec.iclass)
+    if handler is None:
+        handler = _simple_handler(spec)
+    entry = table[id(spec)] = (spec, handler, spec.uops, issue)
+    return entry

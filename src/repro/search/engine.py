@@ -3,7 +3,7 @@
 Structure mirrors the sharded screening campaign: each round plans a
 batch of *evaluation tasks* (grammar samples for exploration, mutants
 of scheduled corpus seeds for exploitation), evaluates them in
-fixed-size chunks on the campaign's shard supervisor — in-process or
+near-equal chunks on the campaign's shard supervisor — in-process or
 pooled, with identical chunk boundaries and the same retries, timeouts
 and pool rebuilds either way — and reduces the outcomes sequentially in
 plan order.  Every random draw comes from a ``derive_stream`` leaf
@@ -14,10 +14,19 @@ bit-identical for any worker count.  Grammar-sample tasks reuse the
 exact per-gadget streams of blind screening (``gadget_stream``), so
 the built-in blind baseline *is* the screening campaign's behavior.
 
+The search owns one screening memo (``repro.cpu.batch``): every chunk
+of a round starts from the memo as it stood when the round began, and
+the parent merges the chunks' new entries in chunk order.  A gadget
+whose archetype sequence any earlier round measured is then rebuilt,
+not executed, and each chunk's hit/miss split stays a function of the
+round plan.
+
 Checkpoints (one JSON statefile per round, written atomically) carry
 the whole search state — coverage map, scheduler energies, corpus
 entries, responder pool — so a killed search resumes into the same
-trajectory it would have taken uninterrupted.
+trajectory it would have taken uninterrupted.  The memo is not
+checkpointed: a resumed search has the same digests, and only its
+``batch.*`` counters differ.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.fuzzer.campaign import (default_cleanup, gadget_stream,
-                                        plan_shards)
+from repro.core.fuzzer.campaign import (ShardSpec, default_cleanup,
+                                        gadget_stream)
 from repro.core.fuzzer.generator import ExecutionHarness
 from repro.core.fuzzer.grammar import Gadget, GadgetGrammar
 from repro.cpu import batch
@@ -53,7 +62,7 @@ logger = logging.getLogger(__name__)
 #: Search checkpoint schema version.
 SEARCH_CHECKPOINT_VERSION = 1
 
-#: Evaluations per worker chunk.  Purely an execution granularity —
+#: Most evaluations per worker chunk.  Purely an execution granularity —
 #: chunk boundaries are a function of the round plan, never of the
 #: worker count, so results are chunk-partition-invariant by the same
 #: argument as shard partitioning.
@@ -136,37 +145,90 @@ def mutation_stream(entropy: int, round_index: int, parent_digest: str,
                          child)
 
 
-#: Per-process ``(cleanup report, name index, mutator)`` keyed on
-#: ``(microarch, max_sequence_length)``; see :func:`_legal_tools`.
+#: Per-process ``(cleanup report, name index, mutator, specs by sorted
+#: name)`` keyed on ``(microarch, max_sequence_length)``; see
+#: :func:`_legal_tools`.
 _LEGAL_TOOLS: dict[tuple[str, int], tuple] = {}
 
 
 def _legal_tools(microarch: str, max_sequence_length: int
-                 ) -> "tuple[list, dict, GadgetMutator]":
-    """The legal list, its name index and a mutator over it.
+                 ) -> "tuple[list, dict, GadgetMutator, tuple]":
+    """The legal list, its name index, a mutator over it, and the legal
+    specs in name order (what cold-pool indices point into).
 
     Built once per cleaned legal list and process, not once per chunk
-    or round: all three are read-only, and a rebuilt cleanup (a new
+    or round: all four are read-only, and a rebuilt cleanup (a new
     report object) rebuilds them.
     """
     report = default_cleanup(microarch)
     key = (microarch, max_sequence_length)
     cached = _LEGAL_TOOLS.get(key)
     if cached is None or cached[0] is not report:
-        cached = (report, build_name_index(report.legal),
+        by_name = build_name_index(report.legal)
+        cached = (report, by_name,
                   GadgetMutator(report.legal,
-                                max_sequence_length=max_sequence_length))
+                                max_sequence_length=max_sequence_length),
+                  tuple(by_name[name] for name in sorted(by_name)))
         _LEGAL_TOOLS[key] = cached
-    return report.legal, cached[1], cached[2]
+    return report.legal, cached[1], cached[2], cached[3]
 
 
-def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
-    """Evaluate one chunk of search tasks.  Pure in (config, tasks, cold).
+class _ColdPool:
+    """The round's untried specs: indices into the name-sorted specs.
+
+    A sequence view, so a chunk receives a compact index array and
+    gathers nothing up front; the mutator only takes its length and
+    indexes it.
+    """
+
+    __slots__ = ("_specs", "_indices")
+
+    def __init__(self, specs: tuple, indices) -> None:
+        self._specs = specs
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, position: int):
+        return self._specs[self._indices[position]]
+
+
+def balanced_chunks(count: int, chunk_size: int) -> list[ShardSpec]:
+    """``ceil(count / chunk_size)`` contiguous chunks of near-equal size.
+
+    A function of the round plan only, like fixed-size chunks, but a
+    100-task round splits 50 + 50 rather than 64 + 36, so two workers
+    finish it together.
+    """
+    if count < 1 or chunk_size < 1:
+        raise ValueError(f"count and chunk_size must be >= 1, got "
+                         f"{count}, {chunk_size}")
+    chunks = -(-count // chunk_size)
+    base, extra = divmod(count, chunks)
+    shards, start = [], 0
+    for index in range(chunks):
+        size = base + (index < extra)
+        shards.append(ShardSpec(index=index, start=start, count=size))
+        start += size
+    return shards
+
+
+def evaluate_search_chunk(config: SearchConfig, tasks, cold=(),
+                          memo: "dict | None" = None) -> tuple:
+    """Evaluate one chunk of search tasks; pure in its arguments.
 
     Mirrors ``screen_shard``'s per-gadget discipline: each task gets
     its own RNG stream, a reset-then-warmed core, and a batched
     screening measurement, so the outcome is identical no matter which
-    process evaluates the chunk.
+    process evaluates the chunk.  ``cold`` holds the round's cold pool
+    as indices into the legal specs in name order; ``memo`` is the
+    search's screening memo as it stood when the round began.
+
+    Returns ``(outcomes, entries)``: the outcomes in task order, and
+    the memo entries this chunk stored, in store order, for the parent
+    to merge.  The memo only decides whether a measurement executes or
+    is rebuilt, so outcomes do not depend on it.
 
     The chunk runs as three passes under ``search.chunk``, one span
     each: ``search.mutate`` builds every task's gadget,
@@ -178,21 +240,21 @@ def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
     """
     tracer = telemetry.tracer()
     with tracer.span("search.chunk", tasks=len(tasks)):
-        legal, by_name, mutator = _legal_tools(config.microarch,
-                                               config.max_sequence_length)
+        legal, by_name, mutator, specs = _legal_tools(
+            config.microarch, config.max_sequence_length)
         core = Core(config.processor_model, rng=0)
         harness = ExecutionHarness(core, unroll=config.unroll, rng=0)
-        # Archetype memo scoped to one chunk, exactly as screening
-        # scopes it to one shard: measurements become a pure function
-        # of the chunk, invariant to worker count and process history.
-        batch.clear_memo()
+        # Start from the round's memo, whatever this process held
+        # before: the hit/miss split is then a function of the round
+        # plan, invariant to worker count and process history.
+        mark = batch.load_memo(memo)
         grammar = GadgetGrammar(legal,
                                 sequence_length=config.sequence_length,
                                 empty_reset_prob=config.empty_reset_prob,
                                 rng=0)
         extractor = CoverageExtractor(core.catalog, config.event_indices,
                                       config.thresholds)
-        cold_specs = tuple(by_name[name] for name in cold if name in by_name)
+        cold_specs = _ColdPool(specs, cold)
         events = np.asarray(config.event_indices, dtype=int)
 
         def materialize(reset, trigger) -> Gadget:
@@ -237,7 +299,7 @@ def evaluate_search_chunk(config: SearchConfig, tasks, cold=()) -> list:
                     trigger=trigger, digest=gadget_digest(reset, trigger),
                     features=sample.features, responses=sample.responses,
                     near=sample.near))
-    return outcomes
+    return outcomes, batch.memo_since(mark)
 
 
 def evals_to_cover(first_cover: dict, count: int) -> "int | None":
@@ -364,8 +426,10 @@ class CoverageSearch:
         self._extractor = None
         self._probe_queue: "tuple[str, ...] | None" = None
         self._probe_cursor = 0
-        self._round_plan: "tuple[list, tuple]" = ([], ())
-        self._round_outcomes: list = []
+        self._round_plan: "tuple[list, np.ndarray]" = ([], ())
+        self._round_results: list = []
+        #: The search's screening memo (see the module docstring).
+        self._memo = batch.MemoEntries()
 
     # -- deterministic identity ----------------------------------------
 
@@ -380,7 +444,7 @@ class CoverageSearch:
     def _ensure_local(self) -> None:
         if self._harness is not None:
             return
-        self._legal, self._by_name, _ = _legal_tools(
+        self._legal, self._by_name, _, _ = _legal_tools(
             self.config.microarch, self.config.max_sequence_length)
         self._sorted_names = tuple(sorted(self._by_name))
         self._core = Core(self.config.processor_model, rng=0)
@@ -413,11 +477,13 @@ class CoverageSearch:
 
     # -- planning ------------------------------------------------------
 
-    def _plan_round(self, remaining: int) -> "tuple[list, tuple]":
-        """Plan one round of tasks plus the round's cold-instruction pool."""
+    def _plan_round(self, remaining: int) -> "tuple[list, np.ndarray]":
+        """Plan one round of tasks plus the round's cold-instruction pool
+        (indices of the untried names in sorted-name order)."""
         self._ensure_local()
-        cold = tuple(name for name in self._sorted_names
-                     if name not in self._tried)
+        tried = self._tried
+        cold = np.fromiter((i for i, name in enumerate(self._sorted_names)
+                            if name not in tried), dtype=np.int32)
         tasks: list[SearchTask] = []
 
         def sample_task() -> SearchTask:
@@ -491,7 +557,8 @@ class CoverageSearch:
         label = (f"{shard.index:03d}" if shard.index >= 0
                  else f"sub-{shard.start:03d}")
         trace_dir = telemetry.trace_dir()
-        return (evaluate_search_chunk, (self.config, chunk, cold),
+        return (evaluate_search_chunk,
+                (self.config, chunk, cold, self._memo),
                 "search.chunk", first, (first, first + len(chunk)),
                 f"search-{self._round:04d}-{label}", attempt, sacrificial,
                 str(trace_dir) if trace_dir is not None else None,
@@ -545,12 +612,23 @@ class CoverageSearch:
             return None
         return trimmed, best_sample
 
+    def _merge_results(self) -> list:
+        """The round's outcomes in eval order, after merging the chunks'
+        new memo entries in chunk order (first eval index)."""
+        results = sorted((r for r in self._round_results if r[0]),
+                         key=lambda r: r[0][0].eval_index)
+        outcomes = []
+        for chunk_outcomes, entries in results:
+            batch.merge_memo(self._memo, entries)
+            outcomes.extend(chunk_outcomes)
+        return outcomes
+
     def _reduce(self, outcomes) -> None:
-        # Minimization trials measure in this process: scope the
-        # archetype memo to the round so their batch.evals /
-        # batch.fallback_scalar split is independent of whatever ran
-        # here before (in-process chunks, earlier searches).
-        batch.clear_memo()
+        # Minimization trials measure in this process against the
+        # search's memo, not whatever this process measured before (its
+        # in-process chunks, earlier searches); their new entries join
+        # the memo after the round's chunk entries.
+        mark = batch.load_memo(self._memo)
         admitted_by_parent: dict[str, int] = {}
         for outcome in outcomes:
             self._tried.update(outcome.reset)
@@ -603,6 +681,7 @@ class CoverageSearch:
             self.scheduler.credit(parent_digest,
                                   admitted_by_parent.get(parent_digest, 0))
         self._round_parents = ()
+        batch.merge_memo(self._memo, batch.memo_since(mark))
 
     def _register_gadget(self, outcome) -> None:
         """Record a responding gadget for confirmation-stage replay."""
@@ -710,10 +789,11 @@ class CoverageSearch:
             self._load_checkpoint()
         registry = telemetry.metrics()
         tracer = telemetry.tracer()
+        self._memo = batch.MemoEntries()
         supervisor = ShardSupervisor(
             fn=run_task, args=self._chunk_args,
-            on_result=lambda outcomes: self._round_outcomes.extend(outcomes),
-            empty_result=lambda shard: [], policy=self.policy,
+            on_result=lambda result: self._round_results.append(result),
+            empty_result=lambda shard: ([], {}), policy=self.policy,
             workers=self.workers)
         self.report = supervisor.report
         with supervisor, tracer.span("search.run",
@@ -728,14 +808,14 @@ class CoverageSearch:
                     break
                 self._eval_cursor += len(tasks)
                 # A quarantined task contributes no outcome.
-                self._round_plan, self._round_outcomes = (tasks, cold), []
+                self._round_plan, self._round_results = (tasks, cold), []
                 with tracer.span("search.evaluate", round=self._round,
                                  tasks=len(tasks)):
-                    supervisor.run(plan_shards(len(tasks),
-                                               self.config.chunk_size))
+                    supervisor.run(balanced_chunks(len(tasks),
+                                                   self.config.chunk_size))
+                    outcomes = self._merge_results()
                 with tracer.span("search.reduce", round=self._round):
-                    self._reduce(sorted(self._round_outcomes,
-                                        key=lambda o: o.eval_index))
+                    self._reduce(outcomes)
                 self._round += 1
                 if registry.enabled:
                     registry.counter("search.evals").inc(len(tasks))
@@ -778,12 +858,15 @@ def blind_search(config: SearchConfig, max_evals: int,
     first_cover: dict[int, int] = {}
     responders: dict[int, list[tuple[int, float]]] = {}
     covered_features = CoverageMap()
+    memo: dict = {}
     for start in range(0, max_evals, size):
         count = min(size, max_evals - start)
         tasks = [SearchTask(eval_index=start + i, kind="sample",
                             round_index=0, sample_index=start + i)
                  for i in range(count)]
-        for outcome in evaluate_search_chunk(config, tasks):
+        outcomes, entries = evaluate_search_chunk(config, tasks, memo=memo)
+        batch.merge_memo(memo, entries)
+        for outcome in outcomes:
             covered_features.observe(outcome.features)
             for event, delta in outcome.responses:
                 responders.setdefault(event, []).append(

@@ -9,6 +9,7 @@ results, and the blind baseline reproduces campaign screening bit for
 bit.
 """
 
+import hashlib
 import json
 import os
 
@@ -20,6 +21,7 @@ from repro.core.fuzzer import campaign as campaign_mod
 from repro.core.fuzzer.campaign import default_cleanup
 from repro.core.fuzzer.grammar import (LEGACY_SIGNATURE_LENGTH, Gadget,
                                        normalize_signature)
+from repro.cpu import batch
 from repro.resilience import runtime as resilience
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.supervisor import SupervisorPolicy
@@ -27,6 +29,8 @@ from repro.search import (Corpus, CorpusEntry, CoverageMap, CoverageSearch,
                           FrontierScheduler, SearchError, blind_search,
                           evals_to_cover, feature_id, gadget_digest)
 from repro.search.corpus import build_name_index
+from repro.search.engine import (SearchTask, balanced_chunks,
+                                 evaluate_search_chunk)
 from repro.telemetry import merge_run
 from repro.telemetry import runtime as telemetry
 
@@ -344,6 +348,105 @@ class TestCoverageSearch:
             CoverageSearch(search_config, max_evals=10, workers=0)
 
 
+def batch_counts(trace_dir):
+    counters = merge_run(trace_dir, write=False).metrics["counters"]
+    return counters["batch.evals"], counters["batch.fallback_scalar"]
+
+
+class TestSearchMemo:
+    """One screening memo per search: chunks start from the round's
+    memo, and the parent merges their new entries in chunk order."""
+
+    @staticmethod
+    def sample_tasks(start, count):
+        return [SearchTask(eval_index=i, kind="sample", round_index=0,
+                           sample_index=i)
+                for i in range(start, start + count)]
+
+    def test_prefilled_memo_leaves_outcomes_unchanged(self, search_config):
+        tasks = self.sample_tasks(0, 48)
+        cold, learned = evaluate_search_chunk(search_config, tasks)
+        assert 0 < len(learned) < len(tasks)
+        # Its own entries: every measurement is rebuilt, none stored.
+        warm, stored = evaluate_search_chunk(search_config, tasks,
+                                             memo=learned)
+        assert warm == cold
+        assert stored == {}
+        # Another chunk's entries: some hits, and only new keys stored.
+        _, other = evaluate_search_chunk(search_config,
+                                         self.sample_tasks(48, 48))
+        mixed, stored = evaluate_search_chunk(search_config, tasks,
+                                              memo=other)
+        assert mixed == cold
+        assert not set(stored) & set(other)
+        assert len(stored) < len(learned)
+
+    def test_chunks_are_balanced_and_contiguous(self):
+        assert [s.count for s in balanced_chunks(100, 64)] == [50, 50]
+        assert [s.count for s in balanced_chunks(130, 64)] == [44, 43, 43]
+        assert [s.count for s in balanced_chunks(64, 64)] == [64]
+        shards = balanced_chunks(201, 16)
+        assert [s.index for s in shards] == list(range(len(shards)))
+        assert [s.start for s in shards] == [
+            sum(t.count for t in shards[:i]) for i in range(len(shards))]
+        assert len(shards) == 13 and sum(s.count for s in shards) == 201
+        with pytest.raises(ValueError):
+            balanced_chunks(0, 16)
+
+    def test_counters_invariant_under_retries_and_bisection(
+            self, search_config, tmp_path):
+        """Round 0 runs chunks @0 and @40.  A kill on @0's first attempt
+        forces a retry (a pool rebuild at 2 workers, a demoted raise at
+        1); a persistent raise on @40 exhausts its retries, bisects and
+        quarantines eval 40.  Neither fault breaks the pool twice, so
+        the chunk partition, and with it the merged batch counters, is
+        the same at 1 and 2 workers."""
+        policy = SupervisorPolicy(backoff_base=0.005, backoff_cap=0.02,
+                                  seed=CHAOS_SEED)
+        plan = FaultPlan(seed=CHAOS_SEED, faults=(
+            FaultSpec(point="search.chunk", mode="kill", times=1,
+                      match=(0,)),
+            FaultSpec(point="search.chunk", mode="raise", times=0,
+                      match=(40,))))
+        counts = []
+        for workers in (1, 2):
+            trace_dir = tmp_path / f"workers-{workers}"
+            search = CoverageSearch(search_config, max_evals=MAX_EVALS,
+                                    workers=workers, fault_plan=plan,
+                                    policy=policy)
+            with telemetry.session(trace_dir=trace_dir):
+                search.run()
+            report = search.report
+            assert report.retries > 0 and report.bisections > 0
+            assert [q.gadget_index for q in report.quarantined] == [40]
+            if workers == 2:
+                assert report.pool_restarts >= 1
+            counts.append(batch_counts(trace_dir))
+        assert counts[0][1] > 0
+        assert counts[0] == counts[1]
+
+    def test_memo_cap_keeps_digests_and_counters(self, search_config,
+                                                 baseline, monkeypatch,
+                                                 tmp_path):
+        with telemetry.session(trace_dir=tmp_path / "uncapped"):
+            CoverageSearch(search_config, max_evals=MAX_EVALS).run()
+        uncapped = batch_counts(tmp_path / "uncapped")
+        monkeypatch.setattr(batch, "MEMO_CAP", 16)
+        counts = []
+        for workers in (1, 2):
+            trace_dir = tmp_path / f"capped-{workers}"
+            search = CoverageSearch(search_config, max_evals=MAX_EVALS,
+                                    workers=workers)
+            with telemetry.session(trace_dir=trace_dir):
+                result = search.run()
+            assert result_key(result) == result_key(baseline)
+            assert len(search._memo) == 16
+            counts.append(batch_counts(trace_dir))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == uncapped[0]
+        assert counts[0][1] > uncapped[1]
+
+
 class TestSearchTrace:
     """Search spans: the same structure at any worker count, and a
     ``search.run`` its children account for."""
@@ -508,6 +611,24 @@ class TestBlindBaseline:
             assert blind.first_cover[event] == gadget_index + 1
         assert blind.evals_to_cover(len(blind.first_cover)) \
             == report.evals_to_cover
+
+    def test_blind_search_digests_pinned(self, make_fuzzer, amd_catalog):
+        """Blind sampling carries one memo across its chunks; its
+        results are those recorded with per-chunk memos."""
+        config = make_fuzzer().search_config(
+            np.flatnonzero(amd_catalog.guest_sensitive))
+        blind = blind_search(config, max_evals=300)
+        assert blind.coverage_digest == (
+            "c1aa088b560b10b903c0a8cb6f3d406d"
+            "4f8d05e8246b4754c60fe28784ef1277")
+        assert blind.coverage_features == 156
+        assert blind.covered_count == 87
+        assert blind.evals_to_cover(87) == 299
+        responders = json.dumps({str(e): pairs for e, pairs
+                                 in sorted(blind.responders.items())})
+        assert hashlib.sha256(responders.encode()).hexdigest() == (
+            "123c540290f1240786d9d14a88af1974"
+            "dc25e8401650c74815ecb2aa0f29a9df")
 
     def test_evals_to_cover_semantics(self):
         first_cover = {3: 10, 7: 40, 9: 25}
